@@ -19,14 +19,22 @@ import (
 // controller retunes one structure's window, the backend selector decides
 // which structure should be live at all. A 2D backend built from the
 // start geometry fronts an elimination stack and a strict Treiber stack
-// behind the epoch-pinned switcher (internal/engine), a Selector samples
-// the live counters every -tick, and halfway through the phased run the
-// semantics budget is collapsed to zero — the shape of an application
-// whose tolerance for reordering disappears mid-run. The collapse must
-// deterministically evict the relaxed backend for a strict one, whatever
-// the load looks like: a swap with reason "k-budget-zero" in the history,
-// the selector time series and the -csv rows. That reason string is what
-// CI greps for.
+// behind the epoch-pinned switcher (internal/engine), and halfway through
+// the phased run the semantics budget is collapsed to zero — the shape of
+// an application whose tolerance for reordering disappears mid-run. The
+// collapse must evict the relaxed backend for a strict one, whatever the
+// load looks like: a swap with reason "k-budget-zero" in the history, the
+// selector time series and the -csv rows. That reason string is what CI
+// greps for.
+//
+// The demo is deterministic by construction: the Selector is not started
+// on its own ticker but driven through Step on a scripted schedule — the
+// first decision is the one right after the collapse, then one per -tick
+// (each Step given exactly -tick as its elapsed time) until the run ends.
+// The budget rule runs first and unconditionally in every decision, so no
+// performance rule (a symmetric-storm move to elimination, say) can act
+// before it on a fast or a slow host, and the first decision is always the
+// k-budget-zero eviction.
 //
 // The run records its full interval history and replays it through the
 // k-distance checker with exactly the documented budget (DESIGN.md §9):
@@ -70,16 +78,27 @@ func backendDemo(start core.Config, threads int, phaseDur, tick time.Duration,
 	fmt.Printf("\n## native backend run (P=%d, %v/phase, backends %v, budget collapses to 0 at %v)\n",
 		threads, phaseDur, sw.Backends(), total/2)
 
+	var res harness.PhasedResult
+	var runErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		res, runErr = harness.RunPhasedBackend(sw, phases, harness.PhasedWorkload{
+			MaxWorkers: threads, Prefill: prefill, Seed: seed, Record: true,
+		})
+	}()
 	// The mid-run tolerance collapse: after half the run the application
-	// can no longer absorb any reordering.
-	collapse := time.AfterFunc(total/2, func() { sel.SetKBudget(0) })
-	defer collapse.Stop()
-
-	sel.Start()
-	res, runErr := harness.RunPhasedBackend(sw, phases, harness.PhasedWorkload{
-		MaxWorkers: threads, Prefill: prefill, Seed: seed, Record: true,
-	})
-	sel.Stop()
+	// can no longer absorb any reordering. Then the scripted decisions.
+	time.Sleep(total / 2)
+	sel.SetKBudget(0)
+	for running := true; running; {
+		sel.Step(tick)
+		select {
+		case <-done:
+			running = false
+		case <-time.After(tick):
+		}
+	}
 	if runErr != nil {
 		fatal("backend run failed: %v", runErr)
 	}

@@ -225,7 +225,7 @@ func trajectoryCases() []benchCase {
 	qcfg := twodqueue.DefaultConfig(4)
 	cases = append(cases, benchCase{
 		name: "queue-default-p4", structure: "queue",
-		factory: harness.NewTwoDQueueFactory(qcfg), geom: geomOf(qcfg.Core()),
+		factory: harness.NewTwoDQueueFactory(qcfg), geom: geomOf(qcfg),
 		k: qcfg.K(), workers: 4,
 	})
 

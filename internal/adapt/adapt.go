@@ -253,8 +253,8 @@ func (p Policy) Validate() error {
 // Reconfigurable is the structure the controller steers: anything that
 // exposes a 2D window geometry, accepts live reconfiguration, and
 // aggregates its handles' operation counters. It is satisfied by
-// *core.Stack[T] for any T, by the 2D-Queue through twodqueue.Steer (whose
-// structurally identical Config converts via Config.Core/FromCore), and by
+// *core.Stack[T] and *twodqueue.Queue[T] for any T (both embed the
+// core.Kernel window, and the queue's Config is core.Config), and by
 // the simulation adapters in cmd/adapttune — one controller implementation
 // drives all of them, because the decision logic reads only the
 // geometry-normalised signals, never the structure itself.
@@ -265,7 +265,7 @@ type Reconfigurable interface {
 }
 
 // SocketAware is optionally implemented by Reconfigurables that place
-// sub-structures on sockets (core.Stack, twodqueue.Steerable and the
+// sub-structures on sockets (core.Stack, twodqueue.Queue and the
 // simulation targets in cmd/adapttune all do). When the target advertises
 // it, the controller routes every geometry change through
 // ReconfigureOnSocket with the interval's CAS-pressure socket
@@ -358,12 +358,37 @@ func New(target Reconfigurable, pol Policy) (*Controller, error) {
 	if err := pol.Validate(); err != nil {
 		return nil, err
 	}
-	return &Controller{
+	c := &Controller{
 		target:   target,
 		pol:      pol,
 		prev:     target.StatsSnapshot(),
 		pressure: -1,
-	}, nil
+	}
+	if err := c.fitCeiling(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// fitCeiling narrows the target's initial geometry — shallower depth
+// first, then narrower width, the MinRelaxation order — until its bound is
+// within KCeiling, so the cap holds from construction onwards and not only
+// from the first tick that happens to move the geometry. It fails when the
+// policy's MinWidth and MinDepth leave no geometry under the ceiling.
+func (c *Controller) fitCeiling() error {
+	for cur := c.target.Config(); !c.underCeiling(cur); cur = c.target.Config() {
+		cand, ok := c.shallowerDepth(cur)
+		if !ok {
+			cand, ok = c.narrowerWidth(cur)
+		}
+		if !ok {
+			return fmt.Errorf("adapt: KCeiling %d is below k=%d of the narrowest geometry the policy allows", c.pol.KCeiling, cur.K())
+		}
+		if err := c.target.Reconfigure(cand); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Policy returns the defaulted policy the controller runs.

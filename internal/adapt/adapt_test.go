@@ -461,3 +461,47 @@ func TestControllerLive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInitialGeometryClampedToCeiling pins the construction-time clamp:
+// whatever default geometry the expected thread count produces, the bound
+// is within KCeiling from New onwards, before any tick — and stays there
+// while ticks run. p is passed explicitly, so the test does not depend on
+// the host's GOMAXPROCS (at p = 2 the default geometry's k is 1344).
+func TestInitialGeometryClampedToCeiling(t *testing.T) {
+	const ceiling = 1024
+	for _, p := range []int{1, 2, 4, 8} {
+		s := core.MustNew[int](core.DefaultConfig(p))
+		pol := testPolicy(TargetLatency)
+		pol.LatencyTarget = 5 * time.Millisecond
+		pol.KCeiling = ceiling
+		c, err := New(s, pol)
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if k := s.Config().K(); k > ceiling {
+			t.Fatalf("p=%d: k=%d above ceiling %d right after New", p, k, ceiling)
+		}
+		h := s.NewHandle()
+		for tick := 0; tick < 8; tick++ {
+			for i := 0; i < 500; i++ {
+				h.Push(i)
+				h.Pop()
+			}
+			h.FlushStats()
+			if rec := c.Step(10 * time.Millisecond); rec.K > ceiling {
+				t.Fatalf("p=%d tick %d: k=%d above ceiling %d", p, tick, rec.K, ceiling)
+			}
+		}
+	}
+}
+
+// TestCeilingBelowNarrowestGeometryRejected: a ceiling no admissible
+// geometry meets is a configuration error at New, not a silent violation.
+func TestCeilingBelowNarrowestGeometryRejected(t *testing.T) {
+	f := &fakeTarget{cfg: core.Config{Width: 4, Depth: 8, Shift: 8, RandomHops: 2}}
+	pol := testPolicy(MaxThroughput)
+	pol.MinWidth, pol.KCeiling = 4, 10 // width 4 at depth 8 is k=72
+	if _, err := New(f, pol); err == nil {
+		t.Fatalf("New accepted KCeiling %d with MinWidth 4 (config %+v)", pol.KCeiling, f.cfg)
+	}
+}

@@ -17,32 +17,32 @@ import "stack2d/internal/yield"
 // search honours the handle's probe plan exactly as Push does (same-socket
 // slots first, DESIGN.md §7).
 func (h *Handle[T]) PushBatch(vs []T) {
-	// pinBatch: a batch neither opens a latency sample nor consumes a
+	// BeginBatch: a batch neither opens a latency sample nor consumes a
 	// countdown tick (a batch duration is not a per-op latency).
-	geo := h.pinBatch()
+	geo := h.BeginBatch()
 	s := h.s
-	width := geo.width
-	sockIdx := h.sockIdx(geo)
-	ord, pos, localN := h.probe(geo)
+	width := geo.Width
+	sockIdx := h.SockIdx(geo)
+	ord, pos, localN := h.Probe(geo)
 	remaining := vs
 	for len(remaining) > 0 {
 		global := s.global.V.Load()
-		idx := h.last
+		idx := h.Last[0]
 		at := 0
 		if ord != nil {
 			at = pos[idx]
 		}
 		probes := 0
-		randLeft := geo.hops
+		randLeft := geo.Hops
 		for probes < width && len(remaining) > 0 {
 			if g := s.global.V.Load(); g != global {
 				global = g
 				probes = 0
-				randLeft = geo.hops
-				h.stats.Restarts++
+				randLeft = geo.Hops
+				h.Ctr.Restarts++
 			}
-			d := geo.subs[idx].load()
-			h.stats.Probes++
+			d := geo.Subs[idx].load()
+			h.Ctr.Probes++
 			if headroom := global - d.count; headroom > 0 {
 				m := int64(len(remaining))
 				if m > headroom {
@@ -61,16 +61,16 @@ func (h *Handle[T]) PushBatch(vs []T) {
 					slab[i] = node[T]{value: remaining[i], next: top}
 					top = &slab[i]
 				}
-				if geo.subs[idx].cas(d, &descriptor[T]{top: top, count: d.count + m}) {
-					h.last = idx
-					h.stats.Pushes += uint64(m)
+				if geo.Subs[idx].cas(d, &descriptor[T]{top: top, count: d.count + m}) {
+					h.Last[0] = idx
+					h.Ctr.Pushes += uint64(m)
 					remaining = remaining[m:]
 					continue
 				}
-				h.stats.CASFailures++
-				h.stats.SocketCAS[sockIdx]++
-				gate(yield.PointCASFail)
-				idx = HopIdx(h.rng, width, ord, localN)
+				h.Ctr.CASFailures++
+				h.Ctr.SocketCAS[sockIdx]++
+				Yield(yield.PointCASFail)
+				idx = HopIdx(h.Rng, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -80,8 +80,8 @@ func (h *Handle[T]) PushBatch(vs []T) {
 			}
 			if randLeft > 0 {
 				randLeft--
-				h.stats.RandomHops++
-				idx = HopIdx(h.rng, width, ord, localN)
+				h.Ctr.RandomHops++
+				idx = HopIdx(h.Rng, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -104,12 +104,12 @@ func (h *Handle[T]) PushBatch(vs []T) {
 		if len(remaining) == 0 {
 			break
 		}
-		gate(yield.PointWindowMove)
-		if s.global.V.CompareAndSwap(global, global+geo.shift) {
-			h.stats.WindowRaises++
+		Yield(yield.PointWindowMove)
+		if s.global.V.CompareAndSwap(global, global+geo.Shift) {
+			h.Ctr.WindowRaises++
 		}
 	}
-	h.unpin()
+	h.End()
 }
 
 // PopBatch removes up to max values, returned topmost-first. It returns a
@@ -127,25 +127,25 @@ func (h *Handle[T]) PopBatch(max int) []T {
 // steady-state refill allocates nothing but the replacement descriptors.
 // len(out) must be 0 relative to the max budget (callers pass out[:0]).
 func (h *Handle[T]) popBatchInto(out []T, max int) []T {
-	geo := h.pinBatch() // see PushBatch: no sample, no countdown tick
+	geo := h.BeginBatch() // see PushBatch: no sample, no countdown tick
 	s := h.s
-	width := geo.width
-	depth := geo.depth
-	sockIdx := h.sockIdx(geo)
-	ord, pos, localN := h.probe(geo)
+	width := geo.Width
+	depth := geo.Depth
+	sockIdx := h.SockIdx(geo)
+	ord, pos, localN := h.Probe(geo)
 	for len(out) < max {
 		global := s.global.V.Load()
 		floor := global - depth
 		if floor < 0 {
 			floor = 0
 		}
-		idx := h.last
+		idx := h.Last[0]
 		at := 0
 		if ord != nil {
 			at = pos[idx]
 		}
 		probes := 0
-		randLeft := geo.hops
+		randLeft := geo.Hops
 		for probes < width && len(out) < max {
 			if g := s.global.V.Load(); g != global {
 				global = g
@@ -154,11 +154,11 @@ func (h *Handle[T]) popBatchInto(out []T, max int) []T {
 					floor = 0
 				}
 				probes = 0
-				randLeft = geo.hops
-				h.stats.Restarts++
+				randLeft = geo.Hops
+				h.Ctr.Restarts++
 			}
-			d := geo.subs[idx].load()
-			h.stats.Probes++
+			d := geo.Subs[idx].load()
+			h.Ctr.Probes++
 			if avail := d.count - floor; avail > 0 {
 				m := int64(max - len(out))
 				if m > avail {
@@ -173,19 +173,19 @@ func (h *Handle[T]) popBatchInto(out []T, max int) []T {
 				for i := int64(0); i < m; i++ {
 					top = top.next
 				}
-				if geo.subs[idx].cas(d, &descriptor[T]{top: top, count: d.count - m}) {
-					h.last = idx
-					h.stats.Pops += uint64(m)
+				if geo.Subs[idx].cas(d, &descriptor[T]{top: top, count: d.count - m}) {
+					h.Last[0] = idx
+					h.Ctr.Pops += uint64(m)
 					for n, i := d.top, int64(0); i < m; i++ {
 						out = append(out, n.value)
 						n = n.next
 					}
 					continue
 				}
-				h.stats.CASFailures++
-				h.stats.SocketCAS[sockIdx]++
-				gate(yield.PointCASFail)
-				idx = HopIdx(h.rng, width, ord, localN)
+				h.Ctr.CASFailures++
+				h.Ctr.SocketCAS[sockIdx]++
+				Yield(yield.PointCASFail)
+				idx = HopIdx(h.Rng, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -195,8 +195,8 @@ func (h *Handle[T]) popBatchInto(out []T, max int) []T {
 			}
 			if randLeft > 0 {
 				randLeft--
-				h.stats.RandomHops++
-				idx = HopIdx(h.rng, width, ord, localN)
+				h.Ctr.RandomHops++
+				idx = HopIdx(h.Rng, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -224,15 +224,15 @@ func (h *Handle[T]) popBatchInto(out []T, max int) []T {
 			// stack is out of items (within the empty-detection slack).
 			break
 		}
-		next := global - geo.shift
+		next := global - geo.Shift
 		if next < depth {
 			next = depth
 		}
-		gate(yield.PointWindowMove)
+		Yield(yield.PointWindowMove)
 		if s.global.V.CompareAndSwap(global, next) {
-			h.stats.WindowLowers++
+			h.Ctr.WindowLowers++
 		}
 	}
-	h.unpin()
+	h.End()
 	return out
 }

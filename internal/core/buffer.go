@@ -1,113 +1,17 @@
 package core
 
-// Per-handle operation buffering: the raw-speed campaign's combined-
-// publication fast path (DESIGN.md §11). An armed handle batches its
-// pushes locally and publishes them through PushBatch when the buffer
-// fills, and refills a local pop prefetch through PopBatch — so the
-// uncontended steady state touches shared cache lines once per bufCap
-// operations instead of once per operation. Buffering is opt-in per handle
-// (SetOpBuffer) and invisible to the singleton Push/Pop paths, which stay
-// exactly as fast as before.
-//
-// Semantics: a buffered operation takes effect (linearizes) at its publish
-// or serve point, not at its API call. The displacement this adds to the
-// realised k-out-of-order distance is budgeted by the checkers'
-// BufferAllowance term (seqspec; DESIGN.md §11 gives the accounting
-// argument and its fairness premise). Buffered-but-unpublished items are
-// counted by Stack.Len via the handle registry, so sizing never sees
-// phantom emptiness; Drain and teardown require the owner to FlushOps
-// first, since only the owning goroutine may touch a handle's buffers.
+// The stack's op-buffer rules (the bookkeeping is the kernel's; see
+// Runtime.SetOpBuffer and DESIGN.md §11). Pending pushes publish through
+// PushBatch, the prefetch refills through PopBatch, and a pop serves the
+// newest pending push first: on a stack that is exactly what Pop would
+// return, so the push/pop pair linearizes back to back.
 
-// SetOpBuffer arms (n >= 1) or disarms (n <= 0) operation buffering on the
-// handle with a combined-publication threshold of n operations.
-// Disarming — and re-arming with a different threshold — first flushes
-// pending pushes and hands undelivered prefetched values back to the
-// structure. Owner-goroutine only, like every Handle method.
-func (h *Handle[T]) SetOpBuffer(n int) {
-	if h.bufCap > 0 {
-		h.FlushOps()
-		h.returnPrefetch()
-	}
-	if n <= 0 {
-		h.bufCap = 0
-		h.pending = nil
-		h.prefetch = nil
-		return
-	}
-	h.bufCap = n
-	h.pending = make([]T, 0, n)
-	h.prefetch = make([]T, 0, n)
-	h.prefStart = 0
-	h.bufEpoch = h.s.geo.Load().epoch
-}
-
-// OpBuffer returns the armed combined-publication threshold (0 when
-// buffering is off).
-func (h *Handle[T]) OpBuffer() int { return h.bufCap }
-
-// BufferedCounts reports the handle's private residents: pending pushes
-// not yet published, and prefetched values not yet delivered.
-// Owner-goroutine only; foreign readers get the sum via Stack.Len.
-func (h *Handle[T]) BufferedCounts() (pending, undelivered int) {
-	return len(h.pending), len(h.prefetch) - h.prefStart
-}
-
-// syncBufCount republishes the atomically readable buffered total after
-// any buffer mutation; one uncontended store to the handle's own line.
-func (h *Handle[T]) syncBufCount() {
-	h.bufCount.Store(int64(len(h.pending) + len(h.prefetch) - h.prefStart))
-}
-
-// maybeEpochFlush reconciles the buffers with a geometry change: pending
-// pushes buffered under a superseded geometry are published into the new
-// one before the next buffered operation proceeds, so a reconfiguration is
-// never followed by an arbitrarily stale combined publish. Prefetched
-// values were already popped from the structure (under the old windows)
-// and are unaffected by the swap; they keep serving.
-func (h *Handle[T]) maybeEpochFlush() {
-	if e := h.s.geo.Load().epoch; e != h.bufEpoch {
-		h.bufEpoch = e
-		if len(h.pending) > 0 {
-			h.flushPending()
-		}
-	}
-}
-
-// flushPending publishes the pending pushes as one combined batch.
-func (h *Handle[T]) flushPending() {
-	h.PushBatch(h.pending)
-	clear(h.pending)
-	h.pending = h.pending[:0]
-	h.syncBufCount()
-}
-
-// returnPrefetch hands undelivered prefetched values back to the
-// structure, newest-delivery-first so the re-push restores their relative
-// order. Used when buffering is disarmed; delivery normally drains the
-// prefetch through BufferedPop instead.
-func (h *Handle[T]) returnPrefetch() {
-	if n := len(h.prefetch) - h.prefStart; n > 0 {
-		// prefetch[prefStart:] is topmost-first; push back in reverse so
-		// the former topmost is pushed last and surfaces first again.
-		for i := len(h.prefetch) - 1; i >= h.prefStart; i-- {
-			h.Push(h.prefetch[i])
-		}
-	}
-	clear(h.prefetch)
-	h.prefetch = h.prefetch[:0]
-	h.prefStart = 0
-	h.syncBufCount()
-}
-
-// FlushOps publishes all pending buffered pushes immediately. It does not
-// disturb the pop prefetch: prefetched values were already removed from
-// the structure and remain deliverable through BufferedPop. Call before
-// quiescing, draining the stack, or abandoning the handle (an abandoned
-// handle's buffered values are lost, exactly like any popped-but-
-// unprocessed value held by its goroutine). No-op when nothing is pending.
-func (h *Handle[T]) FlushOps() {
-	if len(h.pending) > 0 {
-		h.flushPending()
+// returnPrefetch is the stack's disarm-time return path: undelivered
+// prefetched values (topmost-first) are pushed back newest-delivery-first,
+// so the former topmost is pushed last and surfaces first again.
+func (h *Handle[T]) returnPrefetch(vs []T) {
+	for i := len(vs) - 1; i >= 0; i-- {
+		h.Push(vs[i])
 	}
 }
 
@@ -116,17 +20,9 @@ func (h *Handle[T]) FlushOps() {
 // combined PushBatch once bufCap values are pending. With buffering
 // disarmed it is exactly Push.
 func (h *Handle[T]) BufferedPush(v T) {
-	if h.bufCap <= 0 {
+	if !h.Hold(v) {
 		h.Push(v)
-		return
 	}
-	h.maybeEpochFlush()
-	h.pending = append(h.pending, v)
-	if len(h.pending) >= h.bufCap {
-		h.flushPending()
-		return
-	}
-	h.syncBufCount()
 }
 
 // BufferedPop removes a value through the operation buffer. The newest
@@ -140,8 +36,9 @@ func (h *Handle[T]) BufferedPop() (v T, ok bool) {
 	if h.bufCap <= 0 {
 		return h.Pop()
 	}
-	h.maybeEpochFlush()
-	if n := len(h.pending); n > 0 {
+	// Serve first publishes pushes buffered under a superseded geometry,
+	// so only a reconciled buffer serves its newest pending push.
+	if n := len(h.pending); n > 0 && h.bufEpoch == h.s.geo.Load().Epoch {
 		v = h.pending[n-1]
 		var zero T
 		h.pending[n-1] = zero
@@ -149,19 +46,5 @@ func (h *Handle[T]) BufferedPop() (v T, ok bool) {
 		h.syncBufCount()
 		return v, true
 	}
-	if h.prefStart >= len(h.prefetch) {
-		h.prefetch = h.popBatchInto(h.prefetch[:0], h.bufCap)
-		h.prefStart = 0
-		if len(h.prefetch) == 0 {
-			h.syncBufCount()
-			var zero T
-			return zero, false
-		}
-	}
-	v = h.prefetch[h.prefStart]
-	var zero T
-	h.prefetch[h.prefStart] = zero
-	h.prefStart++
-	h.syncBufCount()
-	return v, true
+	return h.Serve()
 }

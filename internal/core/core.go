@@ -59,8 +59,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"stack2d/internal/pad"
 )
@@ -125,61 +123,17 @@ func (c Config) K() int64 {
 	return (2*c.Depth + c.Shift) * int64(c.Width-1)
 }
 
-// Stack is a lock-free 2D-Stack. Create with New; use per-goroutine Handles
-// for operations. A Stack must not be copied.
+// Stack is a lock-free 2D-Stack: the window kernel over descriptor-CAS
+// sub-stacks. Create with New; use per-goroutine Handles for operations. A
+// Stack must not be copied.
 type Stack[T any] struct {
-	// geo is the active geometry (window parameters + sub-stack array),
-	// replaced wholesale by Reconfigure. Padded away from global so window
-	// movement does not invalidate the read-mostly geometry pointer.
-	geo atomic.Pointer[geometry[T]]
-	_   pad.CacheLinePad
+	Kernel[*subStack[T], T]
 	// global is the paper's Global counter: the per-sub-stack item ceiling
 	// of the current window. Steady-state invariant: global >= depth, so
 	// the window floor (global - depth) is non-negative; reconfiguration
 	// can break it transiently, which operations tolerate by clamping the
 	// floor at zero.
 	global pad.Int64Line
-	// seed feeds handle RNGs; purely to give each handle an independent
-	// deterministic stream.
-	seed pad.Uint64Line
-
-	// reMu serialises reconfigurations. It also guards the placement
-	// settings below, which every geometry build reads, and the structural
-	// observer (obsv), whose events are emitted only under it.
-	reMu sync.Mutex
-	// obsv receives structural transition events (reconfigurations, shrink
-	// handoffs, placement re-homes); nil — the default — costs nothing.
-	// See SetObserver and DESIGN.md §8.
-	obsv Observer
-	// placePolicy/placeSockets are the socket-placement model installed by
-	// SetPlacement (nil policy / 1 socket = placement off, the default):
-	// the policy homes new slots on width growth and picks shrink
-	// survivors; the active geometry carries the resulting slot→socket
-	// map. See DESIGN.md §7.
-	placePolicy  PlacementPolicy
-	placeSockets int
-	// handleSeq counts NewHandle calls; the creation-order heuristic
-	// derives each handle's default socket hint from it (HeuristicSocket).
-	handleSeq atomic.Int64
-	// shrinkDisp accumulates, over all width shrinks, the stranded-plus-
-	// target populations of the warm handoff's splices — an upper bound on
-	// the extra LIFO displacement the migrations can have caused (see
-	// spliceStranded and ShrinkDisplacementBound).
-	shrinkDisp atomic.Int64
-
-	// hMu guards the handle registry, which powers both epoch quiescence
-	// detection and StatsSnapshot. Each entry holds its handle weakly — so
-	// an abandoned handle (e.g. one dropped from the convenience API's
-	// sync.Pool on a GC cycle) is collectable — but the handle's published
-	// counters strongly: a collected handle's final counters stay readable
-	// until a later registration prunes the entry and folds them into
-	// retired. StatsSnapshot is therefore exact with no dependence on
-	// GC-cleanup timing (the same scheme as internal/twodqueue's).
-	hMu     sync.Mutex
-	handles []handleEntry[T]
-	// retired accumulates the last published counters of pruned handles,
-	// so StatsSnapshot never loses completed work.
-	retired OpStats
 }
 
 // New returns an empty 2D-Stack with the given configuration.
@@ -187,9 +141,9 @@ func New[T any](cfg Config) (*Stack[T], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Stack[T]{placeSockets: 1}
-	s.geo.Store(freshGeometry[T](cfg, 1))
+	s := &Stack[T]{}
 	s.global.V.Store(cfg.Depth)
+	s.Init(cfg, Hooks[*subStack[T]]{NewSlot: newSubStack[T], Raise: s.raiseGlobal, Handoff: s.spliceStranded})
 	return s, nil
 }
 
@@ -203,27 +157,8 @@ func MustNew[T any](cfg Config) *Stack[T] {
 	return s
 }
 
-// Config returns the stack's active configuration. Under live
-// reconfiguration the value is the geometry current at the call, which a
-// concurrent Reconfigure may immediately supersede.
-func (s *Stack[T]) Config() Config { return s.geo.Load().config() }
-
-// Width returns the current number of sub-stacks.
-func (s *Stack[T]) Width() int { return s.geo.Load().width }
-
-// Epoch returns the active geometry's epoch; it increases by one per
-// successful reconfiguration. Diagnostics only.
-func (s *Stack[T]) Epoch() uint64 { return s.geo.Load().epoch }
-
 // Global exposes the current window ceiling; diagnostics only.
 func (s *Stack[T]) Global() int64 { return s.global.V.Load() }
-
-// ShrinkDisplacementBound returns the cumulative upper bound on LIFO
-// displacement attributable to width-shrink migrations: the sum over all
-// warm-handoff splices of the stranded chain's length plus its target's
-// population. Zero while no shrink has migrated anything. Diagnostics —
-// cmd/adapttune uses it to budget its realised-distance check.
-func (s *Stack[T]) ShrinkDisplacementBound() int64 { return s.shrinkDisp.Load() }
 
 // Len returns the total number of items the stack is responsible for: the
 // residents of every sub-stack plus, for handles with an armed op buffer
@@ -232,27 +167,19 @@ func (s *Stack[T]) ShrinkDisplacementBound() int64 { return s.shrinkDisp.Load() 
 // invisible to sizing. It is exact when quiescent and approximate under
 // concurrency (each addend is an atomic snapshot, but the sum is not).
 func (s *Stack[T]) Len() int {
-	g := s.geo.Load()
 	var n int64
-	for i := range g.subs {
-		n += g.subs[i].load().count
+	for _, ss := range s.geo.Load().Subs {
+		n += ss.load().count
 	}
-	s.hMu.Lock()
-	for _, e := range s.handles {
-		if h := e.wp.Value(); h != nil {
-			n += h.bufCount.Load()
-		}
-	}
-	s.hMu.Unlock()
-	return int(n)
+	return int(n) + s.BufferedLen()
 }
 
 // Empty reports whether every sub-stack was observed empty. Like Len, the
 // answer is exact only in quiescent states.
 func (s *Stack[T]) Empty() bool {
 	g := s.geo.Load()
-	for i := range g.subs {
-		if g.subs[i].load().count != 0 {
+	for i := range g.Subs {
+		if g.Subs[i].load().count != 0 {
 			return false
 		}
 	}
@@ -263,9 +190,9 @@ func (s *Stack[T]) Empty() bool {
 // diagnostics, tests and the relaxtune CLI.
 func (s *Stack[T]) SubCounts() []int64 {
 	g := s.geo.Load()
-	out := make([]int64, len(g.subs))
-	for i := range g.subs {
-		out[i] = g.subs[i].load().count
+	out := make([]int64, len(g.Subs))
+	for i := range g.Subs {
+		out[i] = g.Subs[i].load().count
 	}
 	return out
 }
@@ -300,11 +227,11 @@ func (s *Stack[T]) CheckInvariants() error {
 		return fmt.Errorf("core: Global %d must be positive", g)
 	}
 	geo := s.geo.Load()
-	if len(geo.subs) != geo.width {
-		return fmt.Errorf("core: geometry width %d but %d sub-stacks", geo.width, len(geo.subs))
+	if len(geo.Subs) != geo.Width {
+		return fmt.Errorf("core: geometry width %d but %d sub-stacks", geo.Width, len(geo.Subs))
 	}
-	for i := range geo.subs {
-		d := geo.subs[i].load()
+	for i := range geo.Subs {
+		d := geo.Subs[i].load()
 		if d.count < 0 {
 			return fmt.Errorf("core: sub-stack %d has negative count %d", i, d.count)
 		}

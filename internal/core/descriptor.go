@@ -38,3 +38,11 @@ func (ss *subStack[T]) load() *descriptor[T] { return ss.desc.P.Load() }
 func (ss *subStack[T]) cas(old, next *descriptor[T]) bool {
 	return ss.desc.P.CompareAndSwap(old, next)
 }
+
+// newSubStack is the stack's Hooks.NewSlot: an empty sub-stack (a stack
+// slot needs no window floor — its count is its population).
+func newSubStack[T any](int64) *subStack[T] {
+	ss := new(subStack[T])
+	ss.desc.P.Store(&descriptor[T]{})
+	return ss
+}

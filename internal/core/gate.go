@@ -2,7 +2,8 @@ package core
 
 import "stack2d/internal/yield"
 
-// Gate is the deterministic schedule director's yield hook (DESIGN.md §10).
+// Gate is the deterministic schedule director's yield hook (DESIGN.md §10),
+// shared by the stack and the queue.
 // It is nil in production — every call site pays one predicted-untaken nil
 // check, and every call site is already off the uncontended fast path (a
 // failed CAS, a pre-window-move coverage failure, a reconfiguration, a
@@ -11,9 +12,10 @@ import "stack2d/internal/yield"
 // flight; the director's task spawning provides the happens-before edge.
 var Gate func(yield.Point)
 
-// gate fires the director hook, if installed. Kept tiny so the nil fast
-// path inlines to a single load-and-branch.
-func gate(p yield.Point) {
+// Yield fires the director hook, if installed. Kept tiny so the nil fast
+// path inlines to a single load-and-branch at every call site, the queue's
+// included.
+func Yield(p yield.Point) {
 	if g := Gate; g != nil {
 		g(p)
 	}
@@ -32,5 +34,5 @@ func (h *Handle[T]) SetAnchor(idx int) {
 	if idx < 0 {
 		idx = 0
 	}
-	h.last = idx
+	h.Last[0] = idx
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Latency sampling. One operation in latencySampleInterval is timed
-// end-to-end (pin to unpin) and recorded into a log2-bucketed histogram in
+// end-to-end (Begin to End) and recorded into a log2-bucketed histogram in
 // the handle's OpStats. The buckets are monotone counters like every other
 // field, so they flush through the same SharedCounters mirror, aggregate
 // through the same prune-retired registry, and subtract cleanly between
@@ -54,7 +54,7 @@ func latencyBucketBounds(i int) (lo, hi time.Duration) {
 // sub-stacks an operation inspects, how often CAS fails (contention), and
 // how often the window has to move. Counters are handle-local and updated
 // without atomics; read them from the owning goroutine only (or after it
-// has quiesced). For cross-goroutine sampling use Stack.StatsSnapshot,
+// has quiesced). For cross-goroutine sampling use Kernel.StatsSnapshot,
 // which reads the periodically flushed atomic copies instead.
 type OpStats struct {
 	Pushes    uint64 // completed Push operations
@@ -208,18 +208,6 @@ func (s OpStats) Sub(other OpStats) OpStats {
 	return out
 }
 
-// Stats returns a copy of the handle's counters. Owner-goroutine only.
-func (h *Handle[T]) Stats() OpStats { return h.stats }
-
-// ResetStats zeroes the handle's counters (and their published copy).
-// Owner-goroutine only. Samplers holding a previous StatsSnapshot baseline
-// will see this as a shrinking total; OpStats.Sub saturates, so the
-// affected interval reads as zero rather than garbage.
-func (h *Handle[T]) ResetStats() {
-	h.stats = OpStats{}
-	h.FlushStats()
-}
-
 // statsFlushInterval is how many operations a handle completes between
 // publications of its counters to the shared (atomic) copy. Snapshots are
 // therefore at most this many operations per handle stale — far below the
@@ -302,43 +290,4 @@ func (c *SharedCounters) Load() OpStats {
 			return out
 		}
 	}
-}
-
-// maybeFlush publishes the handle's counters every statsFlushInterval
-// completed operations; called from unpin on the owner goroutine.
-func (h *Handle[T]) maybeFlush() {
-	h.sinceFlush++
-	if h.sinceFlush >= statsFlushInterval {
-		h.FlushStats()
-	}
-}
-
-// FlushStats immediately publishes the handle's counters to the shared
-// copy read by Stack.StatsSnapshot. Owner-goroutine only. Useful when a
-// worker quiesces and a sampler should see its final totals at once.
-func (h *Handle[T]) FlushStats() {
-	h.sinceFlush = 0
-	h.shared.Store(h.stats)
-}
-
-// StatsSnapshot aggregates the published counters of every registered
-// handle plus the retired totals of pruned ones. It is safe to call from
-// any goroutine and does not perturb the operation hot path: handles
-// publish their counters every statsFlushInterval operations, so the
-// snapshot trails the truth by at most that many operations per active
-// handle (and by the same amount, permanently, per abandoned handle).
-// Because the registry holds each handle's counter mirror strongly, a
-// collected-but-not-yet-pruned handle's work is still read here — the
-// snapshot never transiently loses completed operations. Reconfiguration
-// traffic does not read as client operations: the warm shrink handoff
-// splices stranded items directly at the descriptor level, without a
-// handle. This is the feed for internal/adapt's controller.
-func (s *Stack[T]) StatsSnapshot() OpStats {
-	s.hMu.Lock()
-	out := s.retired
-	for _, e := range s.handles {
-		out.Add(e.shared.Load())
-	}
-	s.hMu.Unlock()
-	return out
 }

@@ -33,7 +33,6 @@ import (
 	"stack2d/internal/core"
 	"stack2d/internal/engine"
 	"stack2d/internal/seqspec"
-	"stack2d/internal/twodqueue"
 	"stack2d/internal/yield"
 )
 
@@ -190,10 +189,10 @@ func (d *Director) Run() error {
 		return nil
 	}
 
-	prevCore, prevQueue, prevEngine := core.Gate, twodqueue.Gate, engine.Gate
-	core.Gate, twodqueue.Gate, engine.Gate = d.gateYield, d.gateYield, d.gateYield
+	prevCore, prevEngine := core.Gate, engine.Gate
+	core.Gate, engine.Gate = d.gateYield, d.gateYield
 	defer func() {
-		core.Gate, twodqueue.Gate, engine.Gate = prevCore, prevQueue, prevEngine
+		core.Gate, engine.Gate = prevCore, prevEngine
 	}()
 
 	if d.coverage != nil {

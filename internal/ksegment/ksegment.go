@@ -17,7 +17,7 @@
 //
 // Concurrency protocol (insert-then-verify): a Pop that finds the top
 // segment empty first marks it deleted, rescans for stragglers, and only
-// then unlinks it; a Push that inserted into a segment re-checks the deleted
+// unlinks it once a rescan finds none; a Push that inserted into a segment re-checks the deleted
 // flag and retracts its item (retrying elsewhere) if the segment was
 // condemned meanwhile. A retraction that fails means a concurrent Pop
 // already took the item, which is a completed handoff.
@@ -235,10 +235,13 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 			}
 			continue
 		}
-		// Condemn, rescan for stragglers, then unlink.
+		// Condemn, rescan for stragglers, and unlink only a segment the
+		// rescan proved empty. A rescan that finds a straggler returns it
+		// and leaves the segment linked: more stragglers may sit beside
+		// it (pushes that landed before the condemnation completed), and
+		// unlinking would strand them. A later Pop scans it again.
 		t.deleted.Store(true)
 		if c, ok := h.scanPop(t); ok {
-			s.top.CompareAndSwap(t, t.next)
 			return c, true
 		}
 		s.top.CompareAndSwap(t, t.next)

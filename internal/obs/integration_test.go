@@ -157,8 +157,7 @@ func TestQueueStructEvents(t *testing.T) {
 
 // TestRegisterStructureLive exercises the bridge over the real structures
 // end to end: a live stack's exported counters must agree with its own
-// StatsSnapshot, through the same Source interface the Steerable queue
-// satisfies.
+// StatsSnapshot, through the same Source interface the queue satisfies.
 func TestRegisterStructureLive(t *testing.T) {
 	s := core.MustNew[uint64](core.Config{Width: 4, Depth: 16, Shift: 16, RandomHops: 1})
 	q := twodqueue.MustNew[uint64](twodqueue.Config{Width: 4, Depth: 16, Shift: 16, RandomHops: 1})
@@ -166,7 +165,7 @@ func TestRegisterStructureLive(t *testing.T) {
 	now := time.Unix(0, 0)
 	reg := NewRegistry()
 	RegisterStructure(reg, "stack", s, func() time.Time { return now })
-	RegisterStructure(reg, "queue", twodqueue.Steer(q), func() time.Time { return now })
+	RegisterStructure(reg, "queue", q, func() time.Time { return now })
 
 	hs, hq := s.NewHandle(), q.NewHandle()
 	for i := uint64(0); i < 1000; i++ {

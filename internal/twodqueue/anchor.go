@@ -1,19 +1,5 @@
 package twodqueue
 
-import "stack2d/internal/yield"
-
-// Gate is the deterministic schedule director's yield hook for the 2D-Queue
-// (DESIGN.md §10). Nil in production; every call site is off the uncontended
-// fast path and pays a single predicted-untaken nil check. Install and clear
-// only while no operations are in flight.
-var Gate func(yield.Point)
-
-func gate(p yield.Point) {
-	if g := Gate; g != nil {
-		g(p)
-	}
-}
-
 // SetAnchor forces both of the handle's locality anchors (enqueue and
 // dequeue side) to start the next search at sub-queue idx. With
 // RandomHops = 0 and no concurrent operations the next Enqueue or Dequeue
@@ -23,9 +9,6 @@ func gate(p yield.Point) {
 // the next pin. Owner-goroutine only; diagnostics and directed replay, not
 // a tuning knob.
 func (h *Handle[T]) SetAnchor(idx int) {
-	if idx < 0 {
-		idx = 0
-	}
-	h.lastEnq = idx
-	h.lastDeq = idx
+	idx = max(idx, 0)
+	h.Last[enq], h.Last[deq] = idx, idx
 }

@@ -24,30 +24,30 @@ import (
 // batch. Values may be split across sub-queues when window headroom is
 // short, exactly as a loop of Enqueue calls could be.
 func (h *Handle[T]) EnqueueBatch(vs []T) {
-	geo := h.pinBatch() // no sample, no countdown tick (see pinBatch)
+	geo := h.BeginBatch() // no sample, no countdown tick (see core.Runtime.BeginBatch)
 	q := h.q
-	width := geo.width
-	ord, pos, localN := h.probe(geo)
-	sockIdx := h.sockIdx(geo)
+	width := geo.Width
+	ord, pos, localN := h.Probe(geo)
+	sockIdx := h.SockIdx(geo)
 	remaining := vs
 	for len(remaining) > 0 {
 		global := q.globalEnq.V.Load()
-		idx := h.lastEnq
+		idx := h.Last[enq]
 		at := 0
 		if ord != nil {
 			at = pos[idx]
 		}
 		probes := 0
-		randLeft := geo.hops
+		randLeft := geo.Hops
 		for probes < width && len(remaining) > 0 {
 			if g := q.globalEnq.V.Load(); g != global {
 				global = g
 				probes = 0
-				randLeft = geo.hops
-				h.stats.Restarts++
+				randLeft = geo.Hops
+				h.Ctr.Restarts++
 			}
-			sub := geo.subs[idx]
-			h.stats.Probes++
+			sub := geo.Subs[idx]
+			h.Ctr.Probes++
 			if headroom := global - sub.enqs.V.Load(); headroom > 0 {
 				m := int64(len(remaining))
 				if m > headroom {
@@ -61,16 +61,16 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 					// One counter bump for the whole run — the combined
 					// publication that amortises the coherence traffic.
 					sub.enqs.V.Add(done)
-					h.lastEnq = idx
-					h.stats.Pushes += uint64(done)
+					h.Last[enq] = idx
+					h.Ctr.Pushes += uint64(done)
 					remaining = remaining[done:]
 					continue
 				}
 				// Contention with zero progress: hop away, fresh pass.
-				h.stats.CASFailures++
-				h.stats.SocketCAS[sockIdx]++
-				gate(yield.PointCASFail)
-				idx = core.HopIdx(h.rng, width, ord, localN)
+				h.Ctr.CASFailures++
+				h.Ctr.SocketCAS[sockIdx]++
+				core.Yield(yield.PointCASFail)
+				idx = core.HopIdx(h.Rng, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -80,8 +80,8 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 			}
 			if randLeft > 0 {
 				randLeft--
-				h.stats.RandomHops++
-				idx = core.HopIdx(h.rng, width, ord, localN)
+				h.Ctr.RandomHops++
+				idx = core.HopIdx(h.Rng, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -104,12 +104,12 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 		if len(remaining) == 0 {
 			break
 		}
-		gate(yield.PointWindowMove)
-		if q.globalEnq.V.CompareAndSwap(global, global+geo.shift) {
-			h.stats.WindowRaises++
+		core.Yield(yield.PointWindowMove)
+		if q.globalEnq.V.CompareAndSwap(global, global+geo.Shift) {
+			h.Ctr.WindowRaises++
 		}
 	}
-	h.unpin()
+	h.End()
 }
 
 // DequeueBatch removes up to max values, returned front-first. It returns
@@ -128,31 +128,31 @@ func (h *Handle[T]) DequeueBatch(max int) []T {
 // so a steady-state refill allocates nothing beyond the sub-queue's own
 // node recycling. Callers pass out[:0] relative to the max budget.
 func (h *Handle[T]) dequeueBatchInto(out []T, max int) []T {
-	geo := h.pinBatch() // see EnqueueBatch
+	geo := h.BeginBatch() // see EnqueueBatch
 	q := h.q
-	width := geo.width
-	ord, pos, localN := h.probe(geo)
-	sockIdx := h.sockIdx(geo)
+	width := geo.Width
+	ord, pos, localN := h.Probe(geo)
+	sockIdx := h.SockIdx(geo)
 	for len(out) < max {
 		global := q.globalDeq.V.Load()
-		idx := h.lastDeq
+		idx := h.Last[deq]
 		at := 0
 		if ord != nil {
 			at = pos[idx]
 		}
 		probes := 0
-		randLeft := geo.hops
+		randLeft := geo.Hops
 		sawInvalidNonEmpty := false
 		for probes < width && len(out) < max {
 			if g := q.globalDeq.V.Load(); g != global {
 				global = g
 				probes = 0
-				randLeft = geo.hops
+				randLeft = geo.Hops
 				sawInvalidNonEmpty = false
-				h.stats.Restarts++
+				h.Ctr.Restarts++
 			}
-			sub := geo.subs[idx]
-			h.stats.Probes++
+			sub := geo.Subs[idx]
+			h.Ctr.Probes++
 			if avail := global - sub.deqs.V.Load(); avail > 0 {
 				m := int64(max - len(out))
 				if m > avail {
@@ -171,16 +171,16 @@ func (h *Handle[T]) dequeueBatchInto(out []T, max int) []T {
 				}
 				if done > 0 {
 					sub.deqs.V.Add(done) // one bump per run, as in EnqueueBatch
-					h.lastDeq = idx
-					h.stats.Pops += uint64(done)
+					h.Last[deq] = idx
+					h.Ctr.Pops += uint64(done)
 					continue
 				}
 				if contended {
 					// Another dequeuer beat us with zero progress: hop away.
-					h.stats.CASFailures++
-					h.stats.SocketCAS[sockIdx]++
-					gate(yield.PointCASFail)
-					idx = core.HopIdx(h.rng, width, ord, localN)
+					h.Ctr.CASFailures++
+					h.Ctr.SocketCAS[sockIdx]++
+					core.Yield(yield.PointCASFail)
+					idx = core.HopIdx(h.Rng, width, ord, localN)
 					if ord != nil {
 						at = pos[idx]
 					}
@@ -194,8 +194,8 @@ func (h *Handle[T]) dequeueBatchInto(out []T, max int) []T {
 			}
 			if randLeft > 0 {
 				randLeft--
-				h.stats.RandomHops++
-				idx = core.HopIdx(h.rng, width, ord, localN)
+				h.Ctr.RandomHops++
+				idx = core.HopIdx(h.Rng, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -222,16 +222,16 @@ func (h *Handle[T]) dequeueBatchInto(out []T, max int) []T {
 			// Full coverage saw only empty sub-queues (any non-empty one was
 			// dequeue-valid and yielded nothing): the queue is out of items.
 			if len(out) == 0 {
-				h.stats.EmptyPops++
+				h.Ctr.EmptyPops++
 			}
 			break
 		}
 		// Items exist beyond the current window: raise it and retry.
-		gate(yield.PointWindowMove)
-		if q.globalDeq.V.CompareAndSwap(global, global+geo.shift) {
-			h.stats.WindowLowers++
+		core.Yield(yield.PointWindowMove)
+		if q.globalDeq.V.CompareAndSwap(global, global+geo.Shift) {
+			h.Ctr.WindowLowers++
 		}
 	}
-	h.unpin()
+	h.End()
 	return out
 }

@@ -2,6 +2,10 @@ package twodqueue
 
 import "testing"
 
+// latencySampleInterval is the kernel's sampling stride (core's constant of
+// the same name): one singleton operation in 64 is timed.
+const latencySampleInterval = 64
+
 // TestQueueLatencySampleStridePinned is the queue twin of core's stride
 // pin: batch operations must neither open a latency sample nor consume a
 // countdown tick, so the 1-in-64 stride counts singleton operations only.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"stack2d/internal/adapt"
 	"stack2d/internal/core"
 )
 
@@ -99,12 +100,13 @@ func TestQueuePlacementUnderConcurrentReconfig(t *testing.T) {
 	}
 }
 
-// TestSteerableForwardsSocket: the adapter passes the requester through to
+// TestSteerableForwardsSocket: the controller's socket-attributed entry
+// point (adapt.SocketAware, which the queue implements directly) reaches
 // the queue's placement machinery.
 func TestSteerableForwardsSocket(t *testing.T) {
 	q := MustNew[int](Config{Width: 4, Depth: 8, Shift: 8, RandomHops: 1})
 	q.SetPlacement(core.LocalFirst(), 2)
-	st := Steer(q)
+	var st adapt.SocketAware = q
 	if err := st.ReconfigureOnSocket(core.Config{Width: 8, Depth: 8, Shift: 8, RandomHops: 1}, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"stack2d/internal/adapt"
 	"stack2d/internal/core"
+	"stack2d/internal/obs"
 	"stack2d/internal/seqspec"
 )
 
@@ -120,6 +122,49 @@ func TestGrownSubQueueJoinsAtWindowFloor(t *testing.T) {
 	third := q.SubLens()[2]
 	if !grew && third > int(cfg.Depth) {
 		t.Fatalf("fresh sub-queue absorbed %d items without a window move (joined below the floor)", third)
+	}
+}
+
+// TestGrownSubQueueKeepsFIFOOrder: a width growth on a long queue must
+// keep the sequential FIFO bound of the handover, K_old + K_new. A grown
+// sub-queue's dequeue counter starts where its enqueue counter does, so
+// its fresh items become dequeue-valid only when the dequeue window
+// reaches them, not ahead of the thousands of older items.
+func TestGrownSubQueueKeepsFIFOOrder(t *testing.T) {
+	start := Config{Width: 2, Depth: 8, Shift: 8, RandomHops: 1}
+	grown := Config{Width: 3, Depth: 8, Shift: 8, RandomHops: 1}
+	q := MustNew[uint64](start)
+	h := q.NewHandle()
+	var ops []seqspec.Op
+	next := uint64(1)
+	enq := func() {
+		ops = append(ops, seqspec.Op{Kind: seqspec.OpPush, Value: next})
+		h.Enqueue(next)
+		next++
+	}
+	deq := func() bool {
+		v, ok := h.Dequeue()
+		ops = append(ops, seqspec.Op{Kind: seqspec.OpPop, Value: v, Empty: !ok})
+		return ok
+	}
+	for i := 0; i < 4000; i++ {
+		enq()
+	}
+	if err := q.Reconfigure(grown); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 900; i++ {
+		if i%3 == 2 {
+			deq()
+		} else {
+			enq()
+		}
+	}
+	for deq() {
+	}
+	bound := start.K() + grown.K()
+	if maxDist, err := seqspec.CheckKOutOfOrderFIFO(ops, int(bound)); err != nil {
+		t.Fatalf("FIFO bound %d violated after growth: %v (max distance %d)", bound, err, maxDist)
 	}
 }
 
@@ -463,9 +508,10 @@ func TestMigrationTrafficHiddenFromStats(t *testing.T) {
 	}
 }
 
-// TestHandleRegistryPrunesAndRetiresStats mirrors the core test: abandoned
-// handles must not grow the registry without bound, and their published
-// counters must survive collection in the retired total.
+// TestHandleRegistryPrunesAndRetiresStats: abandoned handles' published
+// counters must survive collection and registry pruning in the retired
+// total, exactly. (The registry is kernel code; core's TestKernel also
+// checks, for both structures, that pruning bounds its size.)
 func TestHandleRegistryPrunesAndRetiresStats(t *testing.T) {
 	q := MustNew[int](Config{Width: 2, Depth: 8, Shift: 8, RandomHops: 1})
 	for i := 0; i < 8; i++ {
@@ -475,53 +521,51 @@ func TestHandleRegistryPrunesAndRetiresStats(t *testing.T) {
 		}
 		h.FlushStats()
 	}
-	// All 8 handles are now unreferenced; pruning and retirement are both
-	// asynchronous, so poll with a deadline.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	// All 8 handles are now unreferenced; each registration prunes the
+	// collected ones, and the snapshot must read exactly 80 throughout.
+	for i := 0; i < 20; i++ {
 		runtime.GC()
-		q.NewHandle() // registering prunes dead entries
-		q.hMu.Lock()
-		entries := len(q.handles)
-		q.hMu.Unlock()
-		snap := q.StatsSnapshot()
-		if entries <= 3 && snap.Pushes == 80 {
-			return
+		q.NewHandle()
+		if snap := q.StatsSnapshot(); snap.Pushes != 80 {
+			t.Fatalf("round %d: snapshot %+v, want exactly 80 pushes", i, snap)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("registry still holds %d entries, snapshot %+v (want <= 3 entries, 80 pushes)", entries, snap)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestSteerableRoundTrip checks the adapter the controller drives the queue
-// through: core.Config conversions preserve every field, Reconfigure
-// reaches the queue, and stats flow back.
+// The queue is steered and observed directly: it satisfies the
+// controller's and the metrics bridge's interfaces with no adapter.
+var (
+	_ adapt.Reconfigurable = (*Queue[int])(nil)
+	_ adapt.SocketAware    = (*Queue[int])(nil)
+	_ obs.Source           = (*Queue[int])(nil)
+	_ obs.ShrinkReporter   = (*Queue[int])(nil)
+)
+
+// TestSteerableRoundTrip checks the queue as the controller steers it,
+// through adapt.Reconfigurable with no adapter: Config is core.Config,
+// Reconfigure reaches the geometry, invalid geometries are refused, and
+// stats flow back.
 func TestSteerableRoundTrip(t *testing.T) {
 	start := Config{Width: 3, Depth: 16, Shift: 8, RandomHops: 2}
-	q := MustNew[int](start)
-	s := Steer(q)
-	if got := s.Config(); got != start.Core() {
-		t.Fatalf("Steerable.Config = %+v, want %+v", got, start.Core())
-	}
-	if FromCore(start.Core()) != start {
-		t.Fatalf("Core/FromCore round trip lost fields: %+v", FromCore(start.Core()))
+	var s adapt.Reconfigurable = MustNew[int](start)
+	q := s.(*Queue[int])
+	if got := s.Config(); got != start {
+		t.Fatalf("Config = %+v, want %+v", got, start)
 	}
 	next := core.Config{Width: 6, Depth: 32, Shift: 32, RandomHops: 1}
 	if err := s.Reconfigure(next); err != nil {
 		t.Fatal(err)
 	}
-	if got := q.Config(); got != FromCore(next) {
-		t.Fatalf("queue config after Steerable.Reconfigure = %+v", got)
+	if got := q.Config(); got != next {
+		t.Fatalf("queue config after Reconfigure = %+v", got)
 	}
 	if err := s.Reconfigure(core.Config{Width: 0}); err == nil {
-		t.Fatal("invalid geometry accepted through the adapter")
+		t.Fatal("invalid geometry accepted")
 	}
 	h := q.NewHandle()
 	h.Enqueue(1)
 	h.FlushStats()
 	if s.StatsSnapshot().Pushes != 1 {
-		t.Fatal("stats did not flow through the adapter")
+		t.Fatal("stats did not flow back")
 	}
 }

@@ -26,90 +26,42 @@
 //
 // # Live reconfiguration
 //
-// Like the stack (internal/core), the queue's geometry is not frozen at
-// construction: the window parameters and the sub-queue array live behind an
-// atomic pointer, every operation pins the active geometry through a
-// per-handle epoch, and Reconfigure swaps in a new geometry while operations
-// run. Depth/shift changes and width growth are wait-free parameter swaps;
-// a width shrink waits for the superseded epoch to quiesce, then migrates
-// the items stranded in dropped sub-queues back into the live window. Each
-// handle also keeps the same operation counters as the stack's handles
-// (probes, CAS failures, window moves), aggregated race-safely by
-// Queue.StatsSnapshot — the input signals of internal/adapt's feedback
-// controller, which steers the queue through the Steerable adapter.
+// The queue is the window kernel of internal/core (core.Kernel) over
+// Michael–Scott sub-queues: geometry publication and epoch pinning, the
+// handle registry and its stats, placement, the structural observer, the
+// op-buffer bookkeeping and the Reconfigure skeleton are the stack's, so
+// *Queue satisfies internal/adapt's Reconfigurable and internal/obs's
+// Source directly. This package keeps only what differs: the sub-queue
+// with its two counters, the Enqueue/Dequeue searches and batches, the
+// round-robin shrink handoff and the FIFO buffer serve rule. The counters
+// use core.OpStats: Pushes/Pops/EmptyPops are enqueues, non-empty and empty
+// dequeues, CASFailures are contended sub-queue rounds at either end,
+// WindowRaises are enqueue-end window moves and WindowLowers dequeue-end
+// ones. See DESIGN.md §4 and §5.
 package twodqueue
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
-	"weak"
-
 	"stack2d/internal/core"
 	"stack2d/internal/msqueue"
 	"stack2d/internal/pad"
-	"stack2d/internal/xrand"
 	"stack2d/internal/yield"
 )
 
-// Config carries the tuning parameters; they have the same roles as the
-// 2D-Stack's (see internal/core.Config).
-type Config struct {
-	// Width is the number of sub-queues.
-	Width int
-	// Depth is the window height (operations per sub-queue per window).
-	Depth int64
-	// Shift is the window step, 1 <= Shift <= Depth.
-	Shift int64
-	// RandomHops is the number of random probes before round-robin search.
-	RandomHops int
-}
+// Config is the window geometry; the queue shares the stack's (see
+// core.Config — K is the same (2·depth + shift)(width − 1), comfortably
+// safe for the queue, whose exhaustive small-geometry exploration realises
+// distances only up to depth·(width − 1)).
+type Config = core.Config
 
-// DefaultConfig mirrors the stack's high-throughput configuration for p
-// expected threads.
-func DefaultConfig(p int) Config {
-	if p < 1 {
-		p = 1
-	}
-	return Config{Width: 4 * p, Depth: 64, Shift: 64, RandomHops: 2}
-}
+// DefaultConfig is the stack's high-throughput configuration for p
+// expected threads (core.DefaultConfig).
+func DefaultConfig(p int) Config { return core.DefaultConfig(p) }
 
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	switch {
-	case c.Width < 1:
-		return fmt.Errorf("twodqueue: Width must be >= 1, got %d", c.Width)
-	case c.Depth < 1:
-		return fmt.Errorf("twodqueue: Depth must be >= 1, got %d", c.Depth)
-	case c.Shift < 1 || c.Shift > c.Depth:
-		return fmt.Errorf("twodqueue: Shift must be in [1, Depth=%d], got %d", c.Depth, c.Shift)
-	case c.RandomHops < 0:
-		return fmt.Errorf("twodqueue: RandomHops must be >= 0, got %d", c.RandomHops)
-	}
-	return nil
-}
-
-// K returns the sequential k-out-of-order bound of this configuration,
-// (2·depth + shift)(width − 1) — the corrected Theorem-1 constant shared
-// with the stack (DESIGN.md §2; exhaustive small-geometry exploration
-// realises queue distances only up to depth·(width − 1), so the shared
-// constant is comfortably safe here). Concurrent executions add at most
-// one position per in-flight operation on top.
-func (c Config) K() int64 {
-	return (2*c.Depth + c.Shift) * int64(c.Width-1)
-}
-
-// Core converts to the structurally identical stack configuration, the
-// currency of internal/adapt's controller.
-func (c Config) Core() core.Config {
-	return core.Config{Width: c.Width, Depth: c.Depth, Shift: c.Shift, RandomHops: c.RandomHops}
-}
-
-// FromCore converts a stack configuration back; see Config.Core.
-func FromCore(c core.Config) Config {
-	return Config{Width: c.Width, Depth: c.Depth, Shift: c.Shift, RandomHops: c.RandomHops}
-}
+// enq and deq index the handle's two locality anchors (core.Runtime.Last).
+const (
+	enq = 0
+	deq = 1
+)
 
 // subQueue is one sub-structure: the Michael–Scott queue plus its two
 // monotonic window counters, all padded onto private cache lines. Slots are
@@ -122,76 +74,36 @@ type subQueue[T any] struct {
 	deqs pad.Int64Line // completed dequeues (plus the join floor)
 }
 
-// newSubQueue allocates an empty sub-queue joining the structure at the
-// given counter floors. A sub-queue added by a width growth must not start
-// its counters at zero: the windows have typically advanced far past zero,
-// and a zero-count newcomer would be enqueue-valid for the whole distance —
-// an unbounded relaxation hole. Starting at the current window floor lets it
-// absorb at most `depth` operations per window, like every other sub-queue.
-func newSubQueue[T any](enqFloor, deqFloor int64) *subQueue[T] {
+// newSubQueue is the queue's Hooks.NewSlot: an empty sub-queue joining the
+// structure at the enqueue window's floor (GlobalEnq − depth, zero at
+// construction). A sub-queue added by a width growth must not start its
+// counters at zero: the windows have typically advanced far past zero, and
+// a zero-count newcomer would be enqueue-valid for the whole distance — an
+// unbounded relaxation hole. Starting at the floor lets it absorb at most
+// `depth` enqueues per window, like every other sub-queue. Both counters
+// start there, so the newcomer is empty by its own count and its j-th item
+// carries the same ordinal at both ends: it becomes dequeue-valid when the
+// dequeue window reaches the items enqueued alongside it. (Starting the
+// dequeue counter at the dequeue window's floor instead would let fresh
+// items leave ahead of the whole backlog of a long queue.)
+func (q *Queue[T]) newSubQueue(depth int64) *subQueue[T] {
+	floor := max(q.globalEnq.V.Load()-depth, 0)
 	sq := &subQueue[T]{q: msqueue.New[T]()}
-	sq.enqs.V.Store(enqFloor)
-	sq.deqs.V.Store(deqFloor)
+	sq.enqs.V.Store(floor)
+	sq.deqs.V.Store(floor)
 	return sq
 }
 
-// Queue is a lock-free 2D relaxed FIFO queue. Create with New; obtain one
-// Handle per goroutine. A Queue must not be copied.
+// Queue is a lock-free 2D relaxed FIFO queue: the window kernel over
+// Michael–Scott sub-queues. Create with New; obtain one Handle per
+// goroutine. A Queue must not be copied.
 type Queue[T any] struct {
-	// geo is the active geometry (window parameters + sub-queue array),
-	// replaced wholesale by Reconfigure; padded away from the globals so
-	// window movement does not invalidate the read-mostly pointer.
-	geo atomic.Pointer[geometry[T]]
-	_   pad.CacheLinePad
+	core.Kernel[*subQueue[T], T]
 	// globalEnq/globalDeq are the per-end window ceilings. Unlike the
 	// stack's Global they are monotone non-decreasing: both ends only ever
 	// advance.
 	globalEnq pad.Int64Line
 	globalDeq pad.Int64Line
-	seed      pad.Uint64Line
-
-	// reMu serialises reconfigurations. It also guards the placement
-	// settings below, which every geometry build reads, and the structural
-	// observer (obsv), whose events are emitted only under it.
-	reMu sync.Mutex
-	// obsv receives structural transition events (reconfigurations, shrink
-	// handoffs, placement re-homes); nil — the default — costs nothing.
-	// The queue reuses core's event vocabulary so one consumer serves both
-	// structures. See SetObserver and DESIGN.md §8.
-	obsv core.Observer
-	// placePolicy/placeSockets are the socket-placement model installed by
-	// SetPlacement (nil policy / 1 socket = placement off, the default);
-	// see core.Stack's identically named fields and DESIGN.md §7.
-	placePolicy  core.PlacementPolicy
-	placeSockets int
-	// handleSeq counts NewHandle calls for the creation-order socket
-	// heuristic (core.HeuristicSocket).
-	handleSeq atomic.Int64
-	// shrinkDisp accumulates, over all width shrinks, the resident
-	// population at each migration plus the client enqueues that landed in
-	// the survivors while the drain ran — an upper bound (to in-flight
-	// slack) on the extra FIFO displacement the migrations can have caused;
-	// see handoffStranded and ShrinkDisplacementBound.
-	shrinkDisp atomic.Int64
-
-	// hMu guards the handle registry, which powers both epoch-quiescence
-	// detection and StatsSnapshot. Each entry holds the handle weakly (so
-	// abandoned handles are collectable) but its published counters
-	// strongly: a collected handle's final counters stay readable until a
-	// later registration prunes the entry and folds them into retired.
-	// This makes StatsSnapshot exact with no dependence on GC-cleanup
-	// timing — the same scheme as core.Stack's registry.
-	hMu     sync.Mutex
-	handles []handleEntry[T]
-	retired core.OpStats
-}
-
-// handleEntry is one registry slot: the weak handle for liveness/epoch
-// checks plus a strong reference to its atomic counter mirror, so pruning
-// can fold every dead entry's counters into retired unconditionally.
-type handleEntry[T any] struct {
-	wp     weak.Pointer[Handle[T]]
-	shared *core.SharedCounters
 }
 
 // New returns an empty 2D-Queue.
@@ -199,10 +111,10 @@ func New[T any](cfg Config) (*Queue[T], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	q := &Queue[T]{placeSockets: 1}
-	q.geo.Store(freshGeometry[T](cfg, 1))
+	q := &Queue[T]{}
 	q.globalEnq.V.Store(cfg.Depth)
 	q.globalDeq.V.Store(cfg.Depth)
+	q.Init(cfg, core.Hooks[*subQueue[T]]{NewSlot: q.newSubQueue, Raise: q.raiseGlobals, Handoff: q.handoffStranded})
 	return q, nil
 }
 
@@ -215,35 +127,16 @@ func MustNew[T any](cfg Config) *Queue[T] {
 	return q
 }
 
-// Config returns the queue's active configuration. Under live
-// reconfiguration the value is the geometry current at the call.
-func (q *Queue[T]) Config() Config { return q.geo.Load().config() }
-
-// Width returns the current number of sub-queues.
-func (q *Queue[T]) Width() int { return q.geo.Load().width }
-
-// Epoch returns the active geometry's epoch; it increases by one per
-// successful reconfiguration. Diagnostics only.
-func (q *Queue[T]) Epoch() uint64 { return q.geo.Load().epoch }
-
 // Len sums sub-queue populations plus every live handle's buffered
 // residents (pending enqueues and prefetched-but-undelivered values), so
 // op-buffered items are never phantom-invisible to sizing; approximate
 // under concurrency.
 func (q *Queue[T]) Len() int {
-	g := q.geo.Load()
 	n := 0
-	for i := range g.subs {
-		n += g.subs[i].q.Len()
+	for _, sq := range q.Geo().Subs {
+		n += sq.q.Len()
 	}
-	q.hMu.Lock()
-	for _, e := range q.handles {
-		if h := e.wp.Value(); h != nil {
-			n += int(h.bufCount.Load())
-		}
-	}
-	q.hMu.Unlock()
-	return n
+	return n + q.BufferedLen()
 }
 
 // GlobalEnq exposes the enqueue window ceiling; diagnostics only.
@@ -252,23 +145,13 @@ func (q *Queue[T]) GlobalEnq() int64 { return q.globalEnq.V.Load() }
 // GlobalDeq exposes the dequeue window ceiling; diagnostics only.
 func (q *Queue[T]) GlobalDeq() int64 { return q.globalDeq.V.Load() }
 
-// ShrinkDisplacementBound returns the cumulative upper bound on FIFO
-// displacement attributable to width-shrink migrations: the sum over all
-// shrinks of the population resident when the stranded items were handed
-// off, plus the concurrent client enqueues the survivors absorbed during
-// each drain (read from their enqueue counters). Exact up to one position
-// per in-flight operation. Zero while no shrink has migrated anything.
-// Diagnostics — cmd/adapttune uses it to budget its realised-distance
-// check.
-func (q *Queue[T]) ShrinkDisplacementBound() int64 { return q.shrinkDisp.Load() }
-
 // SubLens returns a snapshot of each sub-queue's population; diagnostics
 // and tests.
 func (q *Queue[T]) SubLens() []int {
-	g := q.geo.Load()
-	out := make([]int, len(g.subs))
-	for i := range g.subs {
-		out[i] = g.subs[i].q.Len()
+	subs := q.Geo().Subs
+	out := make([]int, len(subs))
+	for i, sq := range subs {
+		out[i] = sq.q.Len()
 	}
 	return out
 }
@@ -288,205 +171,25 @@ func (q *Queue[T]) Drain() []T {
 	}
 }
 
-// Handle is the per-goroutine operation context (locality anchors, RNG and
-// work counters). Not safe for concurrent use of the same handle; the Queue
-// is fully concurrent across handles.
+// Handle is the per-goroutine operation context: the kernel Runtime, with
+// the enqueue anchor in Last[enq] and the dequeue anchor in Last[deq]. Not
+// safe for concurrent use of the same handle; the Queue is fully
+// concurrent across handles.
 type Handle[T any] struct {
-	q       *Queue[T]
-	rng     *xrand.State
-	lastEnq int // sub-queue index of the most recent enqueue success
-	lastDeq int
-	stats   core.OpStats
-
-	// socket is the placement hint (creation-order heuristic, overridden
-	// by Pin), mirroring core.Handle.socket: local-probe searches visit
-	// slots homed on it first and CAS failures are attributed to it.
-	// Always in [0, core.MaxPlacementSockets).
-	socket int
-
-	// planGeo/planSocket key the cached probe plan (core.BuildProbePlan
-	// over the geometry's homes, remote section privately rotated),
-	// rebuilt lazily when the geometry or pinned socket changes; see
-	// core.Handle's identically named fields. Owner-goroutine only.
-	planGeo    *geometry[T]
-	planSocket int
-	planOrd    []int
-	planPos    []int
-	planLocalN int
-
-	// sinceFlush counts operations since stats were last published (see
-	// maybeFlush in stats.go).
-	sinceFlush int
-
-	// latCountdown counts operations down to the next latency sample: one
-	// operation in latencySampleInterval is timed end to end, exactly as in
-	// core.Handle — a decrement-and-test countdown so the uncontended fast
-	// path pays one predicted-untaken branch and the clock is read only
-	// after the sample decision. Owner-goroutine only.
-	latCountdown int
-	latSampling  bool
-	latStart     time.Time
-
-	// epoch is the geometry epoch the handle is currently operating under,
-	// or 0 when idle. Written only by the owner, read by reconfigurers to
-	// detect quiescence of a superseded geometry.
-	epoch atomic.Uint64
-
-	// Operation-buffer state (buffer.go); all owner-goroutine only except
-	// bufCount, the atomically readable resident total that Queue.Len sums
-	// through the registry.
-	bufCap    int
-	pending   []T
-	prefetch  []T
-	prefStart int
-	bufEpoch  uint64
-	bufCount  atomic.Int64
-
-	// shared is the periodically flushed, atomically readable copy of
-	// stats, consumed by Queue.StatsSnapshot; a separate allocation so the
-	// GC cleanup can read the final counters without keeping the handle
-	// alive.
-	shared *core.SharedCounters
+	core.Runtime[*subQueue[T], T]
+	q *Queue[T]
 }
 
 // NewHandle returns an operation handle anchored at random sub-queues and
-// registers it for quiescence tracking and stats aggregation. Registration
-// is weak for the handle itself, so an abandoned handle is collectable; its
-// last published counters live on in the registry entry until the next
-// registration prunes it into the retired total.
+// registered for quiescence tracking and stats aggregation (weakly; see
+// core.Kernel.Attach).
 func (q *Queue[T]) NewHandle() *Handle[T] {
-	seed := q.seed.V.Add(0x9e3779b97f4a7c15)
-	rng := xrand.New(seed)
-	geo := q.geo.Load()
-	order := int(q.handleSeq.Add(1) - 1)
-	h := &Handle[T]{
-		q:            q,
-		rng:          rng,
-		lastEnq:      rng.Intn(geo.width),
-		lastDeq:      rng.Intn(geo.width),
-		socket:       core.HeuristicSocket(order, geo.nsockets),
-		latCountdown: latencySampleInterval,
-		shared:       &core.SharedCounters{},
-	}
-	q.hMu.Lock()
-	live := q.handles[:0]
-	for _, old := range q.handles {
-		if old.wp.Value() != nil {
-			live = append(live, old)
-		} else {
-			q.retired.Add(old.shared.Load())
-		}
-	}
-	q.handles = append(live, handleEntry[T]{wp: weak.Make(h), shared: h.shared})
-	q.hMu.Unlock()
+	h := &Handle[T]{q: q}
+	q.Attach(&h.Runtime, h.EnqueueBatch, h.dequeueBatchInto, h.EnqueueBatch)
+	width := q.Geo().Width
+	h.Last[enq] = h.Rng.Intn(width)
+	h.Last[deq] = h.Rng.Intn(width)
 	return h
-}
-
-// Pin declares the socket the owning goroutine runs on, overriding the
-// creation-order heuristic; see core.Handle.Pin — same semantics, same
-// modulo folding, same use by the local-probe placement policy.
-// Owner-goroutine only.
-func (h *Handle[T]) Pin(socket int) {
-	if socket < 0 {
-		socket = 0
-	}
-	h.socket = socket % core.MaxPlacementSockets
-}
-
-// Socket returns the handle's current placement hint.
-func (h *Handle[T]) Socket() int { return h.socket }
-
-// sockIdx reduces the socket hint to the geometry's socket count, keeping
-// attribution consistent with the probe walk; see core.Handle.sockIdx.
-func (h *Handle[T]) sockIdx(geo *geometry[T]) int {
-	if geo.nsockets > 1 {
-		return h.socket % geo.nsockets
-	}
-	return h.socket
-}
-
-// probe returns the handle's probe plan for the pinned geometry (see
-// core.Handle.probe): the slot permutation to walk, its slot→position
-// inverse, and the local-slot count; all nil/0 for placement-blind
-// geometries. Cached per (geometry, socket).
-func (h *Handle[T]) probe(geo *geometry[T]) (ord, pos []int, localN int) {
-	if !geo.localProbe {
-		return nil, nil, 0
-	}
-	if h.planGeo != geo || h.planSocket != h.socket {
-		s := h.socket % geo.nsockets
-		h.planOrd, h.planPos, h.planLocalN = core.BuildProbePlan(geo.homes, s, h.rng.Intn(geo.width))
-		h.planGeo, h.planSocket = geo, h.socket
-	}
-	return h.planOrd, h.planPos, h.planLocalN
-}
-
-// armLatSample opens a latency sample: reset the countdown, mark sampling,
-// read the clock. Noinline keeps the arm body (and the time.Now call) out
-// of pin's inlined fast path — the countdown test is the only sampling
-// instruction an unsampled operation executes, exactly as in core.Handle.
-//
-//go:noinline
-func (h *Handle[T]) armLatSample() {
-	h.latCountdown = latencySampleInterval
-	h.latSampling = true
-	h.latStart = time.Now()
-}
-
-// closeLatSample records the in-flight sample's bucket; noinline for the
-// same reason as armLatSample.
-//
-//go:noinline
-func (h *Handle[T]) closeLatSample() {
-	h.latSampling = false
-	h.stats.Latency[core.LatencyBucket(time.Since(h.latStart))]++
-}
-
-// pinGeo publishes the handle as active on the current geometry and returns
-// it; the re-check after the epoch store closes the race with a concurrent
-// geometry swap (see core.Handle.pinGeo).
-func (h *Handle[T]) pinGeo() *geometry[T] {
-	for {
-		geo := h.q.geo.Load()
-		h.epoch.Store(geo.epoch)
-		if h.q.geo.Load() == geo {
-			if h.lastEnq >= geo.width {
-				h.lastEnq = h.rng.Intn(geo.width)
-			}
-			if h.lastDeq >= geo.width {
-				h.lastDeq = h.rng.Intn(geo.width)
-			}
-			return geo
-		}
-	}
-}
-
-// pin is pinGeo plus the 1-in-N latency sample decision closed by unpin,
-// mirroring the stack's sampler.
-func (h *Handle[T]) pin() *geometry[T] {
-	h.latCountdown--
-	if h.latCountdown <= 0 {
-		h.armLatSample()
-	}
-	return h.pinGeo()
-}
-
-// pinBatch is pin without the sampling countdown: a batch is many
-// operations under one pin, so it must neither open a sample nor consume a
-// countdown tick (see core.Handle.pinBatch for the stride bug this fixes;
-// TestQueueLatencySampleStridePinned pins the queue side).
-func (h *Handle[T]) pinBatch() *geometry[T] {
-	return h.pinGeo()
-}
-
-// unpin marks the handle idle, closes an in-flight latency sample, and
-// periodically publishes its counters.
-func (h *Handle[T]) unpin() {
-	h.epoch.Store(0)
-	if h.latSampling {
-		h.closeLatSample()
-	}
-	h.maybeFlush()
 }
 
 // Enqueue adds v at the (relaxed) back of the queue. The search mirrors the
@@ -494,47 +197,47 @@ func (h *Handle[T]) unpin() {
 // contention (a failed single-round sub-enqueue), restart on any observed
 // window move.
 func (h *Handle[T]) Enqueue(v T) {
-	geo := h.pin()
+	geo := h.Begin()
 	q := h.q
-	width := geo.width
+	width := geo.Width
 	// Under a local-probe placement policy the search walks a per-socket
 	// permutation (same-socket slots first); ord is nil otherwise and the
 	// pre-placement path runs unchanged. Both walks cover all width slots,
 	// so the coverage discipline is identical (DESIGN.md §7).
-	ord, pos, localN := h.probe(geo)
-	sockIdx := h.sockIdx(geo)
+	ord, pos, localN := h.Probe(geo)
+	sockIdx := h.SockIdx(geo)
 	for {
 		global := q.globalEnq.V.Load()
-		idx := h.lastEnq
+		idx := h.Last[enq]
 		at := 0
 		if ord != nil {
 			at = pos[idx]
 		}
 		probes := 0
-		randLeft := geo.hops
+		randLeft := geo.Hops
 		for probes < width {
 			if g := q.globalEnq.V.Load(); g != global {
 				global = g
 				probes = 0
-				randLeft = geo.hops
-				h.stats.Restarts++
+				randLeft = geo.Hops
+				h.Ctr.Restarts++
 			}
-			sub := geo.subs[idx]
-			h.stats.Probes++
+			sub := geo.Subs[idx]
+			h.Ctr.Probes++
 			if sub.enqs.V.Load() < global {
 				if sub.q.TryEnqueue(v) {
 					sub.enqs.V.Add(1)
-					h.lastEnq = idx
-					h.stats.Pushes++
-					h.unpin()
+					h.Last[enq] = idx
+					h.Ctr.Pushes++
+					h.End()
 					return
 				}
 				// Contention: another enqueuer made progress here; hop to a
 				// random sub-queue and restart the coverage count.
-				h.stats.CASFailures++
-				h.stats.SocketCAS[sockIdx]++
-				gate(yield.PointCASFail)
-				idx = core.HopIdx(h.rng, width, ord, localN)
+				h.Ctr.CASFailures++
+				h.Ctr.SocketCAS[sockIdx]++
+				core.Yield(yield.PointCASFail)
+				idx = core.HopIdx(h.Rng, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -544,8 +247,8 @@ func (h *Handle[T]) Enqueue(v T) {
 			}
 			if randLeft > 0 {
 				randLeft--
-				h.stats.RandomHops++
-				idx = core.HopIdx(h.rng, width, ord, localN)
+				h.Ctr.RandomHops++
+				idx = core.HopIdx(h.Rng, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -565,9 +268,9 @@ func (h *Handle[T]) Enqueue(v T) {
 				idx = ord[at]
 			}
 		}
-		gate(yield.PointWindowMove)
-		if q.globalEnq.V.CompareAndSwap(global, global+geo.shift) {
-			h.stats.WindowRaises++
+		core.Yield(yield.PointWindowMove)
+		if q.globalEnq.V.CompareAndSwap(global, global+geo.Shift) {
+			h.Ctr.WindowRaises++
 		}
 	}
 }
@@ -578,44 +281,44 @@ func (h *Handle[T]) Enqueue(v T) {
 // the stack's downward moves — so the controller's churn signal sums both
 // ends.
 func (h *Handle[T]) Dequeue() (v T, ok bool) {
-	geo := h.pin()
+	geo := h.Begin()
 	q := h.q
-	width := geo.width
-	ord, pos, localN := h.probe(geo) // see Enqueue
-	sockIdx := h.sockIdx(geo)
+	width := geo.Width
+	ord, pos, localN := h.Probe(geo) // see Enqueue
+	sockIdx := h.SockIdx(geo)
 	for {
 		global := q.globalDeq.V.Load()
-		idx := h.lastDeq
+		idx := h.Last[deq]
 		at := 0
 		if ord != nil {
 			at = pos[idx]
 		}
 		probes := 0
-		randLeft := geo.hops
+		randLeft := geo.Hops
 		sawInvalidNonEmpty := false
 		for probes < width {
 			if g := q.globalDeq.V.Load(); g != global {
 				global = g
 				probes = 0
-				randLeft = geo.hops
+				randLeft = geo.Hops
 				sawInvalidNonEmpty = false
-				h.stats.Restarts++
+				h.Ctr.Restarts++
 			}
-			sub := geo.subs[idx]
-			h.stats.Probes++
+			sub := geo.Subs[idx]
+			h.Ctr.Probes++
 			if sub.deqs.V.Load() < global {
 				if val, got, contended := sub.q.TryDequeue(); got {
 					sub.deqs.V.Add(1)
-					h.lastDeq = idx
-					h.stats.Pops++
-					h.unpin()
+					h.Last[deq] = idx
+					h.Ctr.Pops++
+					h.End()
 					return val, true
 				} else if contended {
 					// Another dequeuer beat us here: hop away, fresh pass.
-					h.stats.CASFailures++
-					h.stats.SocketCAS[sockIdx]++
-					gate(yield.PointCASFail)
-					idx = core.HopIdx(h.rng, width, ord, localN)
+					h.Ctr.CASFailures++
+					h.Ctr.SocketCAS[sockIdx]++
+					core.Yield(yield.PointCASFail)
+					idx = core.HopIdx(h.Rng, width, ord, localN)
 					if ord != nil {
 						at = pos[idx]
 					}
@@ -629,8 +332,8 @@ func (h *Handle[T]) Dequeue() (v T, ok bool) {
 			}
 			if randLeft > 0 {
 				randLeft--
-				h.stats.RandomHops++
-				idx = core.HopIdx(h.rng, width, ord, localN)
+				h.Ctr.RandomHops++
+				idx = core.HopIdx(h.Rng, width, ord, localN)
 				if ord != nil {
 					at = pos[idx]
 				}
@@ -653,15 +356,15 @@ func (h *Handle[T]) Dequeue() (v T, ok bool) {
 		if !sawInvalidNonEmpty {
 			// Full coverage saw only empty sub-queues (any non-empty one
 			// was dequeue-valid and yielded nothing): report empty.
-			h.stats.EmptyPops++
-			h.unpin()
+			h.Ctr.EmptyPops++
+			h.End()
 			var zero T
 			return zero, false
 		}
 		// Items exist beyond the current window: raise it and retry.
-		gate(yield.PointWindowMove)
-		if q.globalDeq.V.CompareAndSwap(global, global+geo.shift) {
-			h.stats.WindowLowers++
+		core.Yield(yield.PointWindowMove)
+		if q.globalDeq.V.CompareAndSwap(global, global+geo.Shift) {
+			h.Ctr.WindowLowers++
 		}
 	}
 }

@@ -69,7 +69,7 @@ func WithQueuePlacement(policy PlacementPolicy, sockets int) QueueOption {
 }
 
 // SetPlacement installs (or replaces) the stack's placement model at
-// runtime; see internal/core.Stack.SetPlacement. Safe concurrently with
+// runtime; see internal/core.Kernel.SetPlacement. Safe concurrently with
 // operations.
 func (s *Stack[T]) SetPlacement(policy PlacementPolicy, sockets int) {
 	s.inner.SetPlacement(policy, sockets)
@@ -87,7 +87,7 @@ func (s *Stack[T]) Placement() []int { return s.inner.Placement() }
 func (h *Handle[T]) Pin(socket int) { h.h.Pin(socket) }
 
 // SetPlacement installs (or replaces) the queue's placement model at
-// runtime; see internal/twodqueue.Queue.SetPlacement. Safe concurrently
+// runtime; see internal/core.Kernel.SetPlacement. Safe concurrently
 // with operations.
 func (q *Queue[T]) SetPlacement(policy PlacementPolicy, sockets int) {
 	q.inner.SetPlacement(policy, sockets)
