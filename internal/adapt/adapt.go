@@ -541,7 +541,7 @@ func (c *Controller) decide(rec TickRecord) string {
 			}
 			// A tail none of the structure's signals explain (e.g.
 			// scheduler stalls) is not fixable by geometry: hold rather
-			// than ratchet the window down for nothing.
+			// than walk the window down for nothing.
 			return "hold"
 		}
 		if float64(rec.P99) < float64(c.pol.LatencyTarget)*(1-c.pol.LatencyMargin) && quiet {

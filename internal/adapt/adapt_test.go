@@ -250,7 +250,7 @@ func TestTargetLatencySteersByDominantSignal(t *testing.T) {
 	c.Step(10 * time.Millisecond)
 
 	// Tail over target that NO structural signal explains (quiet, cheap
-	// searches — e.g. scheduler stalls): hold, don't ratchet the window.
+	// searches — e.g. scheduler stalls): hold, don't move the window.
 	f.feed(1000, 0, 0, 1.2)
 	f.feedLatency(100, over)
 	if rec := c.Step(10 * time.Millisecond); rec.Action != "hold" {

@@ -5,7 +5,8 @@ import "stack2d/internal/yield"
 // Batched operations. A batch applies several pushes (or pops) to one
 // sub-stack with a single descriptor CAS, amortising the search and the
 // coherence traffic. The window discipline is preserved exactly: a batch
-// of m pushes is accepted only while count+m <= Global, i.e. it is
+// of m pushes is accepted only while height+m <= Global (a slot's height
+// is its count plus its base, see subStack), i.e. it is
 // indistinguishable (for the Theorem 1 bound) from m consecutive singleton
 // pushes that all landed on that sub-stack — something the window already
 // permits. Likewise a pop batch never takes a sub-stack below the window
@@ -41,9 +42,10 @@ func (h *Handle[T]) PushBatch(vs []T) {
 				randLeft = geo.Hops
 				h.Ctr.Restarts++
 			}
-			d := geo.Subs[idx].load()
+			ss := geo.Subs[idx]
+			d := ss.load()
 			h.Ctr.Probes++
-			if headroom := global - d.count; headroom > 0 {
+			if headroom := global - d.count - ss.base.Load(); headroom > 0 {
 				m := int64(len(remaining))
 				if m > headroom {
 					m = headroom
@@ -61,7 +63,7 @@ func (h *Handle[T]) PushBatch(vs []T) {
 					slab[i] = node[T]{value: remaining[i], next: top}
 					top = &slab[i]
 				}
-				if geo.Subs[idx].cas(d, &descriptor[T]{top: top, count: d.count + m}) {
+				if ss.cas(d, &descriptor[T]{top: top, count: d.count + m}) {
 					h.Last[0] = idx
 					h.Ctr.Pushes += uint64(m)
 					remaining = remaining[m:]
@@ -157,9 +159,11 @@ func (h *Handle[T]) popBatchInto(out []T, max int) []T {
 				randLeft = geo.Hops
 				h.Ctr.Restarts++
 			}
-			d := geo.Subs[idx].load()
+			ss := geo.Subs[idx]
+			d := ss.load()
+			base := ss.base.Load()
 			h.Ctr.Probes++
-			if avail := d.count - floor; avail > 0 {
+			if avail := min(d.count, d.count+base-floor); avail > 0 {
 				m := int64(max - len(out))
 				if m > avail {
 					m = avail
@@ -173,7 +177,7 @@ func (h *Handle[T]) popBatchInto(out []T, max int) []T {
 				for i := int64(0); i < m; i++ {
 					top = top.next
 				}
-				if geo.Subs[idx].cas(d, &descriptor[T]{top: top, count: d.count - m}) {
+				if ss.cas(d, &descriptor[T]{top: top, count: d.count - m}) {
 					h.Last[0] = idx
 					h.Ctr.Pops += uint64(m)
 					for n, i := d.top, int64(0); i < m; i++ {
@@ -193,6 +197,7 @@ func (h *Handle[T]) popBatchInto(out []T, max int) []T {
 				randLeft = 0
 				continue
 			}
+			ss.sinkBase(base, floor) // see Pop
 			if randLeft > 0 {
 				randLeft--
 				h.Ctr.RandomHops++

@@ -143,7 +143,7 @@ func New[T any](cfg Config) (*Stack[T], error) {
 	}
 	s := &Stack[T]{}
 	s.global.V.Store(cfg.Depth)
-	s.Init(cfg, Hooks[*subStack[T]]{NewSlot: newSubStack[T], Raise: s.raiseGlobal, Handoff: s.spliceStranded})
+	s.Init(cfg, Hooks[*subStack[T]]{NewSlot: s.newSubStack, Raise: s.raiseGlobal, Handoff: s.spliceStranded})
 	return s, nil
 }
 

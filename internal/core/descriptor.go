@@ -1,6 +1,10 @@
 package core
 
-import "stack2d/internal/pad"
+import (
+	"sync/atomic"
+
+	"stack2d/internal/pad"
+)
 
 // node is one cell of a sub-stack's singly linked list.
 type node[T any] struct {
@@ -26,23 +30,54 @@ type descriptor[T any] struct {
 // subStack is a single sub-stack slot in the stack-array. Each slot is
 // padded to a cache line so CAS traffic on one sub-stack does not invalidate
 // its neighbours (the disjoint-access-parallelism dimension of the design).
+//
+// A slot's window height is its population (the descriptor count) plus its
+// base. The base is zero for every slot made at construction. A slot added
+// by width growth joins at the window floor instead of at height zero (see
+// Stack.newSubStack), and its base sinks with the floor whenever a pop pass
+// finds the slot empty; it never rises. The base sits in the descriptor's
+// cache line, so reading it costs a probe no extra miss. It is read without
+// ordering against the descriptor: a stale base can only misjudge one
+// probe's validity by the amount the floor moved, never expose an empty
+// slot to a pop, because pops also require count > 0.
 type subStack[T any] struct {
-	desc pad.PointerLine[descriptor[T]]
+	desc atomic.Pointer[descriptor[T]]
+	base atomic.Int64
+	_    [pad.CacheLineSize - 16]byte
 }
 
 // load returns the current descriptor. Sub-stacks are initialised eagerly,
 // so the result is never nil.
-func (ss *subStack[T]) load() *descriptor[T] { return ss.desc.P.Load() }
+func (ss *subStack[T]) load() *descriptor[T] { return ss.desc.Load() }
 
 // cas attempts to replace old with next in one atomic step.
 func (ss *subStack[T]) cas(old, next *descriptor[T]) bool {
-	return ss.desc.P.CompareAndSwap(old, next)
+	return ss.desc.CompareAndSwap(old, next)
 }
 
-// newSubStack is the stack's Hooks.NewSlot: an empty sub-stack (a stack
-// slot needs no window floor — its count is its population).
-func newSubStack[T any](int64) *subStack[T] {
+// sinkBase lowers an empty slot's base to the window floor, so a grown slot
+// that has drained rejoins the band where the window now is (a base left
+// above the ceiling would take the slot out of the window). Called by pop
+// passes on a probe that found the slot empty.
+func (ss *subStack[T]) sinkBase(base, floor int64) {
+	if base > floor {
+		ss.base.CompareAndSwap(base, floor)
+	}
+}
+
+// newSubStack is the stack's Hooks.NewSlot: an empty sub-stack whose base
+// is the window floor under the new depth, so a slot added by width growth
+// joins the band the other slots occupy. Starting it at height zero would
+// let pushes pile up to Global fresh items in it while pops keep serving
+// the survivors' older items, exceeding the Theorem 1 bound of the grown
+// geometry by up to the floor per added slot. (The queue's grown sub-queues
+// join at the enqueue floor for the same reason, DESIGN.md §5.) At
+// construction Global equals the depth, so every base is zero.
+func (s *Stack[T]) newSubStack(depth int64) *subStack[T] {
 	ss := new(subStack[T])
-	ss.desc.P.Store(&descriptor[T]{})
+	ss.desc.Store(&descriptor[T]{})
+	if floor := s.global.V.Load() - depth; floor > 0 {
+		ss.base.Store(floor)
+	}
 	return ss
 }

@@ -64,12 +64,13 @@ func (h *Handle[T]) Push(v T) {
 				randLeft = geo.Hops
 				h.Ctr.Restarts++
 			}
-			d := geo.Subs[idx].load()
+			ss := geo.Subs[idx]
+			d := ss.load()
 			h.Ctr.Probes++
-			if d.count < global {
+			if d.count+ss.base.Load() < global {
 				// Valid for push: attempt the descriptor swap.
 				n.next = d.top
-				if geo.Subs[idx].cas(d, &descriptor[T]{top: n, count: d.count + 1}) {
+				if ss.cas(d, &descriptor[T]{top: n, count: d.count + 1}) {
 					h.Last[0] = idx
 					h.Ctr.Pushes++
 					h.End()
@@ -160,11 +161,14 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 				randLeft = geo.Hops
 				h.Ctr.Restarts++
 			}
-			d := geo.Subs[idx].load()
+			ss := geo.Subs[idx]
+			d := ss.load()
+			base := ss.base.Load()
 			h.Ctr.Probes++
-			if d.count > floor {
-				// Valid for pop. count > floor >= 0 implies top != nil.
-				if geo.Subs[idx].cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
+			if d.count > 0 && d.count+base > floor {
+				// Valid for pop: its height is above the floor, and
+				// count > 0 implies top != nil.
+				if ss.cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
 					h.Last[0] = idx
 					h.Ctr.Pops++
 					h.End()
@@ -181,6 +185,9 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 				randLeft = 0
 				continue
 			}
+			// Invalid (at or below the floor). An invalid slot whose base
+			// is above the floor is empty: sink the base to the floor.
+			ss.sinkBase(base, floor)
 			if randLeft > 0 {
 				randLeft--
 				h.Ctr.RandomHops++
@@ -246,10 +253,12 @@ func (h *Handle[T]) TryPop() (v T, ok bool) {
 		at = pos[idx]
 	}
 	for probes := 0; probes < width; probes++ {
-		d := geo.Subs[idx].load()
+		ss := geo.Subs[idx]
+		d := ss.load()
+		base := ss.base.Load()
 		h.Ctr.Probes++
-		if d.count > floor {
-			if geo.Subs[idx].cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
+		if d.count > 0 && d.count+base > floor {
+			if ss.cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
 				h.Last[0] = idx
 				h.Ctr.Pops++
 				h.End()
@@ -258,6 +267,8 @@ func (h *Handle[T]) TryPop() (v T, ok bool) {
 			h.Ctr.CASFailures++
 			h.Ctr.SocketCAS[sockIdx]++
 			Yield(yield.PointCASFail)
+		} else {
+			ss.sinkBase(base, floor)
 		}
 		if ord == nil {
 			idx++

@@ -44,7 +44,7 @@ func (s *Stack[T]) spliceStranded(next *Geometry[*subStack[T]], dropped []*subSt
 	var disp int64
 	for _, ss := range dropped {
 		d := ss.load()
-		ss.desc.P.Store(&descriptor[T]{})
+		ss.desc.Store(&descriptor[T]{})
 		if d.count == 0 {
 			continue
 		}
@@ -76,20 +76,20 @@ func (s *Stack[T]) spliceStranded(next *Geometry[*subStack[T]], dropped []*subSt
 	// once and the next Push would stall through repeated full-coverage
 	// passes, each raising Global by only shift and restarting every
 	// concurrent search — the funnel's spike in client clothing. One
-	// batched raise to shift headroom above the least-loaded survivor is
+	// batched raise to shift headroom above the lowest survivor is
 	// the advance the window would have made had the migrated items been
 	// pushed normally; counts stay within the usual band, and pops at
 	// worst lower the window one extra round. (Global is not monotone —
 	// concurrent pops may lower it — but one successful raise-if-below
 	// CAS is all this needs.)
 	if disp > 0 {
-		minCount := next.Subs[0].load().count
+		minHeight := next.Subs[0].load().count + next.Subs[0].base.Load()
 		for _, ss := range next.Subs[1:] {
-			if c := ss.load().count; c < minCount {
-				minCount = c
+			if c := ss.load().count + ss.base.Load(); c < minHeight {
+				minHeight = c
 			}
 		}
-		for target := minCount + next.Shift; ; {
+		for target := minHeight + next.Shift; ; {
 			cur := s.global.V.Load()
 			if cur >= target || s.global.V.CompareAndSwap(cur, target) {
 				break

@@ -253,8 +253,9 @@ func (k *Kernel[S, T]) PlacementSocketFor(i int) int {
 //
 //   - Depth/shift/hops changes swap only the parameters; the slot array is
 //     shared between the old and new geometry.
-//   - Width growth appends fresh empty slots (Hooks.NewSlot); existing
-//     slots are shared, so no item moves.
+//   - Width growth appends fresh empty slots (Hooks.NewSlot, which joins
+//     them at the window floor); existing slots are shared, so no item
+//     moves.
 //   - Width shrink drops the slots ShrinkPlan does not keep, waits for
 //     every operation pinned to the old geometry to finish (epoch
 //     quiescence), then hands the stranded items to the survivors

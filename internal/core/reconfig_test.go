@@ -290,3 +290,63 @@ func TestHandleRegistryPrunesAndRetiresStats(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestGrownSubStackJoinsAtFloor: a sub-stack added by width growth joins at
+// the window floor, so the grown geometry's Theorem 1 bound holds from the
+// first operation after the publish. Starting it empty at height zero let a
+// producer's pushes pile up in the fresh slot, far below the floor, while a
+// consumer's pops kept serving the survivors' older items: on this
+// sequential trace the distance grew by one per round. The second half
+// checks that the base sinks with the floor: once drained, the grown slots
+// take their share of a refill.
+func TestGrownSubStackJoinsAtFloor(t *testing.T) {
+	s := MustNew[int](Config{Width: 2, Depth: 4, Shift: 4})
+	producer, consumer := s.NewHandle(), s.NewHandle()
+	present := map[int]bool{}
+	next := 0
+	push := func() {
+		producer.Push(next)
+		present[next] = true
+		next++
+	}
+	for i := 0; i < 1000; i++ {
+		push()
+	}
+	grown := Config{Width: 4, Depth: 4, Shift: 4}
+	if err := s.Reconfigure(grown); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 200; round++ {
+		push()
+		v, ok := consumer.Pop()
+		if !ok {
+			t.Fatalf("round %d: pop reported empty", round)
+		}
+		delete(present, v)
+		// Labels increase in push order: the distance of v is the number of
+		// residents pushed after it.
+		var dist int64
+		for u := range present {
+			if u > v {
+				dist++
+			}
+		}
+		if dist > grown.K() {
+			t.Fatalf("round %d: popped %d at distance %d > k=%d (sub-counts %v, Global %d)",
+				round, v, dist, grown.K(), s.SubCounts(), s.Global())
+		}
+	}
+
+	if got := len(s.Drain()); got != len(present) {
+		t.Fatalf("Drain returned %d items, want %d", got, len(present))
+	}
+	for i := 0; i < grown.Width*int(grown.Depth); i++ {
+		producer.Push(i)
+	}
+	for i, c := range s.SubCounts() {
+		if c != grown.Depth {
+			t.Fatalf("refill after drain: sub-stack %d holds %d, want %d in every slot: %v (Global %d)",
+				i, c, grown.Depth, s.SubCounts(), s.Global())
+		}
+	}
+}

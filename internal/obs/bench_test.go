@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"stack2d/internal/adapt"
 	"stack2d/internal/core"
 )
 
@@ -27,12 +26,12 @@ func benchMixedOps(b *testing.B, s *core.Stack[uint64]) {
 	})
 }
 
-// BenchmarkObserverOverhead pins the disabled-path claim of DESIGN.md §8:
+// BenchmarkObserverOverhead times the disabled-path claim of DESIGN.md §8:
 // fully instrumenting a structure (structural observer + live controller
 // with a tick tracer + a registered metrics bridge) must not change the
 // operation hot path, because no hook is read per operation. Compare the
-// off/on ns/op in one run — cmd/stackbench's -json mode records the same
-// pair, and CI's ratchet gates their ratio.
+// off/on ns/op in one run; TestInstrumentedOpAllocsUnchanged pins the
+// allocation counts of the same instrumentation exactly.
 func BenchmarkObserverOverhead(b *testing.B) {
 	cfg := core.Config{Width: 16, Depth: 64, Shift: 64, RandomHops: 2}
 	b.Run("off", func(b *testing.B) {
@@ -40,18 +39,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	})
 	b.Run("on", func(b *testing.B) {
 		s := core.MustNew[uint64](cfg)
-		ring := NewRing(1024)
-		s.SetObserver(StructTracer{Structure: "stack", Ring: ring})
-		ctrl, err := adapt.New(s, adapt.Policy{Tick: 10 * time.Millisecond})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctrl.SetObserver(TickTracer{Structure: "stack", Ring: ring})
-		reg := NewRegistry()
-		RegisterStructure(reg, "stack", s, nil)
-		RegisterRing(reg, ring)
-		ctrl.Start()
-		defer ctrl.Stop()
+		defer instrument(b, s, 10*time.Millisecond)()
 		benchMixedOps(b, s)
 	})
 }
