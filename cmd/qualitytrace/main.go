@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -57,7 +58,10 @@ func main() {
 		}
 		res, err = harness.RunQueueQuality(f, w)
 	} else {
-		algorithm, perr := parseAlgorithm(*alg)
+		algorithm, perr := relax.ParseAlgorithm(*alg)
+		if perr == nil && !slices.Contains(relax.Figure2Algorithms(), algorithm) {
+			perr = fmt.Errorf("%v is not a Figure 2 algorithm", algorithm)
+		}
 		if perr != nil {
 			fmt.Fprintln(os.Stderr, "qualitytrace:", perr)
 			os.Exit(2)
@@ -105,25 +109,4 @@ func main() {
 		tb.AddRow(label, fmt.Sprintf("%d", n), fmt.Sprintf("%5.1f%%", 100*float64(n)/total))
 	}
 	fmt.Println(tb.String())
-}
-
-func parseAlgorithm(s string) (relax.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "2d", "2d-stack", "2dstack":
-		return relax.TwoDStack, nil
-	case "k-segment", "ksegment":
-		return relax.KSegment, nil
-	case "k-robin", "krobin":
-		return relax.KRobin, nil
-	case "random":
-		return relax.RandomStack, nil
-	case "random-c2", "c2":
-		return relax.RandomC2Stack, nil
-	case "elimination":
-		return relax.EliminationStack, nil
-	case "treiber":
-		return relax.TreiberStack, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
-	}
 }

@@ -26,13 +26,13 @@ func TestParseAlgorithm(t *testing.T) {
 		{"", 0, false},
 	}
 	for _, c := range cases {
-		got, err := parseAlgorithm(c.in)
+		got, err := relax.ParseAlgorithm(c.in)
 		if (err == nil) != c.ok {
-			t.Errorf("parseAlgorithm(%q) error = %v, want ok=%v", c.in, err, c.ok)
+			t.Errorf("relax.ParseAlgorithm(%q) error = %v, want ok=%v", c.in, err, c.ok)
 			continue
 		}
 		if c.ok && got != c.want {
-			t.Errorf("parseAlgorithm(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("relax.ParseAlgorithm(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }

@@ -74,10 +74,16 @@ func main() {
 				if err := cfg.Validate(); err != nil {
 					fatal("invalid configuration %+v: %v", cfg, err)
 				}
-				res, err := harness.RunInstrumented(cfg, w)
+				// The workers flush their handles' stats on exit, so the
+				// snapshot after the run holds all of its work.
+				s := core.MustNew[uint64](cfg)
+				pres, err := harness.RunPhased(s, []harness.Phase{{
+					Name: "sweep", Duration: w.Duration, Workers: w.Workers, PushRatio: w.PushRatio,
+				}}, harness.PhasedWorkload{MaxWorkers: w.Workers, Prefill: w.Prefill, Seed: w.Seed})
 				if err != nil {
 					fatal("run failed: %v", err)
 				}
+				thr, st := pres.Phases[0].Throughput, s.StatsSnapshot()
 				f := harness.NewTwoDFactory(cfg)
 				meanErr, maxErr := 0.0, 0
 				if *quality {
@@ -89,23 +95,23 @@ func main() {
 					maxErr = qres.Quality.Max
 				}
 				casFailPct := 0.0
-				if res.Stats.Probes > 0 {
-					casFailPct = 100 * float64(res.Stats.CASFailures) / float64(res.Stats.Ops())
+				if st.Probes > 0 {
+					casFailPct = 100 * float64(st.CASFailures) / float64(st.Ops())
 				}
 				tb.AddRow(
 					fmt.Sprintf("%d (%dP)", cfg.Width, wm),
 					fmt.Sprintf("%d", cfg.Depth),
 					fmt.Sprintf("%d", cfg.Shift),
 					fmt.Sprintf("%d", cfg.K()),
-					fmt.Sprintf("%.0f", res.Throughput),
-					fmt.Sprintf("%.2f", res.Stats.ProbesPerOp()),
+					fmt.Sprintf("%.0f", thr),
+					fmt.Sprintf("%.2f", st.ProbesPerOp()),
 					fmt.Sprintf("%.2f", casFailPct),
-					fmt.Sprintf("%d", res.Stats.WindowRaises+res.Stats.WindowLowers),
+					fmt.Sprintf("%d", st.WindowRaises+st.WindowLowers),
 					fmt.Sprintf("%.2f", meanErr),
 					fmt.Sprintf("%d", maxErr),
 				)
 				fmt.Fprintf(os.Stderr, "w=%-4d d=%-4d s=%-4d thr=%s\n",
-					cfg.Width, cfg.Depth, cfg.Shift, stats.HumanOps(res.Throughput))
+					cfg.Width, cfg.Depth, cfg.Shift, stats.HumanOps(thr))
 			}
 		}
 	}

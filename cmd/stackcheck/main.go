@@ -22,7 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
+	"slices"
 	"sync"
 
 	"stack2d/internal/harness"
@@ -41,7 +41,10 @@ func main() {
 	)
 	flag.Parse()
 
-	algorithm, err := parseAlgorithm(*alg)
+	algorithm, err := relax.ParseAlgorithm(*alg)
+	if err == nil && !slices.Contains(relax.Figure2Algorithms(), algorithm) {
+		err = fmt.Errorf("%v is not a Figure 2 algorithm", algorithm)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stackcheck:", err)
 		os.Exit(2)
@@ -157,25 +160,4 @@ func checkKBound(f harness.Factory, k int64, workers, opsPerW int) error {
 	fmt.Printf("  max observed distance %d, max strain %d (bound %d; overlap slack up to %d)\n",
 		rep.MaxDistance, rep.MaxStrain, k, rep.MaxSlack)
 	return nil
-}
-
-func parseAlgorithm(s string) (relax.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "2d", "2d-stack", "2dstack":
-		return relax.TwoDStack, nil
-	case "k-segment", "ksegment":
-		return relax.KSegment, nil
-	case "k-robin", "krobin":
-		return relax.KRobin, nil
-	case "random":
-		return relax.RandomStack, nil
-	case "random-c2", "c2":
-		return relax.RandomC2Stack, nil
-	case "elimination":
-		return relax.EliminationStack, nil
-	case "treiber":
-		return relax.TreiberStack, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
-	}
 }

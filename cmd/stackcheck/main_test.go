@@ -11,9 +11,9 @@ func TestParseAlgorithmCoversFigure2Set(t *testing.T) {
 	names := []string{"2d", "k-segment", "k-robin", "random", "random-c2", "elimination", "treiber"}
 	seen := map[relax.Algorithm]bool{}
 	for _, n := range names {
-		a, err := parseAlgorithm(n)
+		a, err := relax.ParseAlgorithm(n)
 		if err != nil {
-			t.Fatalf("parseAlgorithm(%q): %v", n, err)
+			t.Fatalf("relax.ParseAlgorithm(%q): %v", n, err)
 		}
 		seen[a] = true
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -69,14 +70,25 @@ func TestSharedCountersPadded(t *testing.T) {
 // seqlock generation the per-field atomics still tear across fields
 // (a fresh Pushes paired with a stale Pops) and this fails within a few
 // thousand iterations.
+//
+// The writer paces itself like a real handle, which stores once per
+// statsFlushInterval operations; opAtomics atomic adds stand in for each
+// operation's pin, load, CAS and unpin. A writer storing back to back keeps
+// the generation odd nearly all the time, and a reader on another core
+// (slowed further by -race) then almost never sees a stable generation.
 func TestSharedCountersSeqlockConsistency(t *testing.T) {
+	const opAtomics = 4
 	var c SharedCounters
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		var st OpStats
+		var work atomic.Uint64
 		for i := uint64(1); ; i++ {
+			for range opAtomics * statsFlushInterval {
+				work.Add(1)
+			}
 			st.Pushes, st.Pops = 2*i, i
 			c.Store(st)
 			select {

@@ -2,13 +2,24 @@
 // P workers issue Push/Pop uniformly at random with no think time against a
 // prefilled stack (32,768 items in the paper) for a fixed duration;
 // throughput is operations per second, quality is the mean error distance
-// from LIFO measured by the internal/quality oracle; every point is the
-// average of several repeats.
+// measured by an internal/quality oracle; every figure point averages
+// several repeats.
 //
-// The harness abstracts each algorithm behind a Factory that builds fresh
-// instances per run and per-goroutine Workers (handles), so the same runner
-// reproduces Figure 1 (relaxation sweep), Figure 2 (concurrency sweep) and
-// the ablation experiments.
+// The package has one load generator. A run is a list of phases, each with
+// its own active worker count, push ratio and think time; workers count
+// their operations in goroutine-local variables and can record every
+// operation for the seqspec checkers. The entry points differ only in
+// where the workers come from:
+//
+//   - Run, RunQuality and RunQueueQuality run one phase over a fresh
+//     instance from a Factory. The figure sweeps and ablations use them,
+//     so the same runner reproduces Figure 1 (relaxation sweep), Figure 2
+//     (concurrency sweep) and the ablation experiments.
+//   - RunPhased, RunPhasedQueue and their Buffered variants drive a live
+//     2D-Stack or 2D-Queue whose controller the caller owns; the
+//     structure's StatsSnapshot afterwards holds the run's work counters.
+//   - RunPhasedBackend drives any relax.Backend, the engine switcher
+//     included.
 package harness
 
 import (
@@ -145,10 +156,6 @@ func Figure1Factory(alg relax.Algorithm, k int64, p int) Factory {
 	}
 }
 
-// Figure2K is the common relaxation budget used to configure the k-bounded
-// relaxed algorithms in the concurrency sweep; see EXPERIMENTS.md.
-const Figure2K = 1024
-
 // figure2FixedWidth is the sub-stack count of the fixed-structure designs
 // (random, random-c2) in Figure 2; the paper notes their quality stays
 // constant with P because the sub-stack count is fixed.
@@ -163,7 +170,7 @@ func Figure2Factory(alg relax.Algorithm, p int) Factory {
 	case relax.TwoDStack:
 		return NewTwoDFactory(core.DefaultConfig(p))
 	case relax.KRobin:
-		return NewMultiFactory(relax.KRobinConfigForK(Figure2K, p), p)
+		return NewMultiFactory(relax.KRobinConfigForK(relax.Figure2K, p), p)
 	case relax.KSegment:
 		return NewKSegmentFactory(ksegment.Config{SegmentSize: figure2FixedWidth})
 	case relax.RandomStack:

@@ -32,7 +32,7 @@ func TestWorkloadValidate(t *testing.T) {
 		w    Workload
 		ok   bool
 	}{
-		{"default", DefaultWorkload(4), true},
+		{"default", Workload{Workers: 4, Duration: time.Millisecond, PushRatio: 0.5, Prefill: 32768, Seed: 1}, true},
 		{"no workers", Workload{Workers: 0, Duration: time.Millisecond}, false},
 		{"no duration", Workload{Workers: 1}, false},
 		{"bad ratio", Workload{Workers: 1, Duration: time.Millisecond, PushRatio: 1.5}, false},
@@ -72,34 +72,44 @@ func TestRunRejectsBadWorkload(t *testing.T) {
 	if _, err := Run(NewTreiberFactory(), Workload{}); err == nil {
 		t.Fatal("Run accepted zero workload")
 	}
-	if _, err := RunOps(NewTreiberFactory(), Workload{}, 10); err == nil {
-		t.Fatal("RunOps accepted zero workload")
-	}
-	if _, err := RunOps(NewTreiberFactory(), quickWorkload(1), -1); err == nil {
-		t.Fatal("RunOps accepted negative op count")
-	}
 }
 
+// TestRunOpsDeterministicCounts: the load generator's per-worker counts
+// add up, for every Figure 2 factory at P = 4. Ops is Pushes + Pops +
+// EmptyPops, and, once the run is quiescent, the instance holds exactly
+// prefill + pushes - successful pops (no operation lost or counted twice).
 func TestRunOpsDeterministicCounts(t *testing.T) {
-	const p, ops = 4, 500
+	const p = 4
+	w := quickWorkload(p)
 	for _, f := range allFigure2Factories(p) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
-			res, err := RunOps(f, quickWorkload(p), ops)
+			inst := f.New()
+			phase := Phase{Name: f.Name, Duration: w.Duration, Workers: p, PushRatio: w.PushRatio}
+			out, err := runPhased(func(int) (Worker, func()) { return inst.NewWorker(), func() {} }, false,
+				[]Phase{phase}, PhasedWorkload{MaxWorkers: p, Prefill: w.Prefill, Seed: w.Seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Ops != p*ops {
-				t.Fatalf("Ops = %d, want %d", res.Ops, p*ops)
+			res := out.Phases[0]
+			if res.Ops == 0 || res.Ops != res.Pushes+res.Pops+res.EmptyPops {
+				t.Fatalf("op accounting inconsistent: %+v", res)
+			}
+			if out.TotalOps != res.Ops {
+				t.Fatalf("TotalOps = %d, want %d", out.TotalOps, res.Ops)
+			}
+			want := w.Prefill + int(res.Pushes) - int(res.Pops)
+			if got := inst.Len(); got != want {
+				t.Fatalf("population = %d, want prefill %d + pushes %d - pops %d = %d",
+					got, w.Prefill, res.Pushes, res.Pops, want)
 			}
 		})
 	}
 }
 
-func TestRunOpsPopulationConsistent(t *testing.T) {
-	// After a deterministic run, instance population must equal
-	// prefill + pushes - successful pops. RunOps doesn't expose the
-	// instance, so re-verify via a dedicated run here.
+// TestTwoDFactoryPopulationConsistent: after a single-worker run the
+// instance's population equals prefill + pushes - successful pops.
+func TestTwoDFactoryPopulationConsistent(t *testing.T) {
 	w := quickWorkload(2)
 	f := NewTwoDFactory(relax.TwoDConfigForK(256, 2))
 	inst := f.New()

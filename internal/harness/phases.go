@@ -127,12 +127,10 @@ type phasedOracle interface {
 // caller owns any controller attached to the stack (start it before, stop
 // it after); RunPhased itself only generates load and measures, so the
 // same function serves both the static baseline and the adaptive run in
-// cmd/adapttune.
+// cmd/adapttune. Every worker flushes its handle's stats when it exits, so
+// the stack's StatsSnapshot after the run holds the whole run's work
+// (prefill included).
 func RunPhased(s *core.Stack[uint64], phases []Phase, w PhasedWorkload) (PhasedResult, error) {
-	var oracle phasedOracle
-	if w.Quality {
-		oracle = &quality.Oracle{}
-	}
 	return runPhased(func(id int) (Worker, func()) {
 		h := s.NewHandle()
 		if id >= 0 {
@@ -142,15 +140,17 @@ func RunPhased(s *core.Stack[uint64], phases []Phase, w PhasedWorkload) (PhasedR
 			h.Pin(s.PlacementSocketFor(id))
 		}
 		return h, h.FlushStats
-	}, oracle, false, phases, w)
+	}, false, phases, w)
 }
 
-// runPhased is the shared engine behind RunPhased and RunPhasedQueue:
-// mkWorker builds one per-goroutine worker plus its end-of-run stats flush
-// (so a sampling controller sees final totals), oracle is nil when quality
-// measurement is off.
+// runPhased is the harness's one load generator; every Run* entry point
+// supplies its workers and calls it. mkWorker builds one worker plus its
+// end-of-run flush (so a sampling controller sees final totals); it is
+// called on the goroutine that uses the worker, with id -1 for the
+// prefill worker. fifo selects the FIFO oracle over the LIFO one when
+// w.Quality is set.
 //
-// insertFirst selects when a push is recorded in the oracle. The stack
+// fifo also selects when a push is recorded in the oracle. The stack
 // records after the push completes (the paper's §4 methodology; the LIFO
 // oracle inserts at the head, so a late insert can only shrink a distance).
 // The queue must record at invocation: the FIFO oracle inserts at the tail,
@@ -162,12 +162,19 @@ func RunPhased(s *core.Stack[uint64], phases []Phase, w PhasedWorkload) (PhasedR
 // dequeue of v can precede v's record) at the cost of at most one position
 // of slack per in-flight operation — the same convention as the seqspec
 // trace tests.
-func runPhased(mkWorker func(id int) (Worker, func()), oracle phasedOracle, insertFirst bool, phases []Phase, w PhasedWorkload) (PhasedResult, error) {
+func runPhased(mkWorker func(id int) (Worker, func()), fifo bool, phases []Phase, w PhasedWorkload) (PhasedResult, error) {
 	var out PhasedResult
 	if err := w.Validate(phases); err != nil {
 		return out, err
 	}
 
+	var oracle phasedOracle
+	switch {
+	case w.Quality && fifo:
+		oracle = &quality.FIFOOracle{}
+	case w.Quality:
+		oracle = &quality.Oracle{}
+	}
 	var rec *seqspec.Recorder
 	if w.Record {
 		// Shard layout: one per worker, the extra shard (index MaxWorkers)
@@ -192,7 +199,8 @@ func runPhased(mkWorker func(id int) (Worker, func()), oracle phasedOracle, inse
 	type counters struct {
 		pushes, pops, empty uint64
 	}
-	// perW[worker][phase]
+	// perW[worker][phase]; workers count in locals and store here only
+	// when the phase changes.
 	perW := make([][]counters, w.MaxWorkers)
 	for i := range perW {
 		perW[i] = make([]counters, len(phases))
@@ -207,24 +215,34 @@ func runPhased(mkWorker func(id int) (Worker, func()), oracle phasedOracle, inse
 		go func(id int) {
 			defer wg.Done()
 			worker, flush := mkWorker(id)
+			defer flush()
+			// Local copies: the captured variables live in small heap
+			// cells that may share a cache line with the structure under
+			// test, and the hot loop reads them on every operation.
+			oracle, rec := oracle, rec
 			rng := xrand.New(w.Seed + uint64(id)*0x9e3779b97f4a7c15 + 1)
 			label := uint64(id+1)<<40 | uint64(w.Prefill)
+			var c counters
 			var sink uint64
+			cur := 0
 			<-start
 			for {
 				p := ctl.Load()
-				if p.idx < 0 {
-					break
+				if p.idx != cur {
+					perW[id][cur] = c
+					c, cur = counters{}, p.idx
+					if cur < 0 {
+						break
+					}
 				}
 				if id >= p.workers {
 					// Benched this phase; stay parked until the shape changes.
 					time.Sleep(50 * time.Microsecond)
 					continue
 				}
-				c := &perW[id][p.idx]
 				if rng.Float64() < p.pushRatio {
 					label++
-					if oracle != nil && insertFirst {
+					if oracle != nil && fifo {
 						oracle.Insert(label)
 					}
 					if rec != nil {
@@ -233,7 +251,7 @@ func runPhased(mkWorker func(id int) (Worker, func()), oracle phasedOracle, inse
 					} else {
 						worker.Push(label)
 					}
-					if oracle != nil && !insertFirst {
+					if oracle != nil && !fifo {
 						oracle.Insert(label)
 					}
 					c.pushes++
@@ -259,7 +277,6 @@ func runPhased(mkWorker func(id int) (Worker, func()), oracle phasedOracle, inse
 				}
 			}
 			_ = sink
-			flush()
 		}(i)
 	}
 

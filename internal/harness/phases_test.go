@@ -130,3 +130,43 @@ func TestRunPhasedWithController(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunPhasedStatsCountWork: after RunPhased the stack's StatsSnapshot
+// holds the whole run's work. Every operation validates at least one
+// sub-stack, and the prefill pushes are counted.
+func TestRunPhasedStatsCountWork(t *testing.T) {
+	s := core.MustNew[uint64](core.DefaultConfig(2))
+	w := PhasedWorkload{MaxWorkers: 2, Prefill: 1024, Seed: 42}
+	res, err := RunPhased(s, []Phase{{Name: "run", Duration: 30 * time.Millisecond, Workers: 2, PushRatio: 0.5}}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalOps == 0 || res.Phases[0].Throughput <= 0 {
+		t.Fatalf("no operations: %+v", res.Phases[0])
+	}
+	st := s.StatsSnapshot()
+	if st.Probes < st.Ops() {
+		t.Fatalf("Probes (%d) < ops (%d): every op validates at least one sub-stack", st.Probes, st.Ops())
+	}
+	if st.Pushes < uint64(w.Prefill) {
+		t.Fatalf("Stats.Pushes = %d below prefill %d", st.Pushes, w.Prefill)
+	}
+	if got, want := st.Ops(), res.TotalOps+uint64(w.Prefill); got != want {
+		t.Fatalf("Stats ops = %d, want run ops + prefill = %d", got, want)
+	}
+}
+
+// TestRunPhasedTightSearch: at the default operating point with few
+// workers, the empirical step count stays near 1 probe/op (the paper's
+// tight-bound claim).
+func TestRunPhasedTightSearch(t *testing.T) {
+	s := core.MustNew[uint64](core.DefaultConfig(4))
+	_, err := RunPhased(s, []Phase{{Name: "run", Duration: 40 * time.Millisecond, Workers: 4, PushRatio: 0.5}},
+		PhasedWorkload{MaxWorkers: 4, Prefill: 1024, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ppo := s.StatsSnapshot().ProbesPerOp(); ppo > 4 {
+		t.Fatalf("ProbesPerOp = %.2f, want near 1 at the default config", ppo)
+	}
+}

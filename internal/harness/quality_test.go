@@ -6,41 +6,48 @@ import (
 
 	"stack2d/internal/multistack"
 	"stack2d/internal/relax"
+	"stack2d/internal/stats"
 )
 
 // TestQualityOrderingAcrossDesigns asserts the structural accuracy ordering
 // the paper's figures rest on: at equal sub-stack count, uniform random
 // scheduling scores markedly worse error distance than power-of-two-choices,
-// and the window-disciplined 2D-Stack beats both. This is a statistical
-// property but a heavily separated one (the Figure 2 data shows ~195 vs ~36
-// vs ~18), so the factor-of-two margins here are conservative.
+// and the window-disciplined 2D-Stack beats both. One concurrent draw is
+// noisy (a descheduled worker inflates the oracle's distances by whatever
+// ran meanwhile), so each design is scored by the median mean error of
+// qualityDraws seeded runs; the 2x and 1.5x margins apply to the medians.
 func TestQualityOrderingAcrossDesigns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quality measurement run")
 	}
-	w := Workload{
-		Workers:   4,
-		Duration:  80 * time.Millisecond,
-		PushRatio: 0.5,
-		Prefill:   16384,
-		Seed:      7,
-	}
-	measure := func(f Factory) float64 {
-		res, err := RunQuality(f, w)
-		if err != nil {
-			t.Fatalf("%s: %v", f.Name, err)
+	const qualityDraws = 5
+	median := func(f Factory) float64 {
+		errs := make([]float64, 0, qualityDraws)
+		for d := 0; d < qualityDraws; d++ {
+			res, err := RunQuality(f, Workload{
+				Workers:   4,
+				Duration:  80 * time.Millisecond,
+				PushRatio: 0.5,
+				Prefill:   16384,
+				Seed:      7 + uint64(d)*7919,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", f.Name, err)
+			}
+			if res.Quality.Count == 0 {
+				t.Fatalf("%s: no pops measured", f.Name)
+			}
+			errs = append(errs, res.Quality.Mean())
 		}
-		if res.Quality.Count == 0 {
-			t.Fatalf("%s: no pops measured", f.Name)
-		}
-		return res.Quality.Mean()
+		t.Logf("%s mean error per draw: %.1f", f.Name, errs)
+		return stats.Percentile(errs, 50)
 	}
 	const width = 64
-	randomErr := measure(NewMultiFactory(multistack.Config{Width: width, Policy: multistack.Random}, 4))
-	c2Err := measure(NewMultiFactory(multistack.Config{Width: width, Policy: multistack.RandomC2}, 4))
-	twoDErr := measure(Figure2Factory(relax.TwoDStack, 4))
+	randomErr := median(NewMultiFactory(multistack.Config{Width: width, Policy: multistack.Random}, 4))
+	c2Err := median(NewMultiFactory(multistack.Config{Width: width, Policy: multistack.RandomC2}, 4))
+	twoDErr := median(Figure2Factory(relax.TwoDStack, 4))
 
-	t.Logf("mean error: random=%.1f random-c2=%.1f 2D-stack=%.1f", randomErr, c2Err, twoDErr)
+	t.Logf("median mean error: random=%.1f random-c2=%.1f 2D-stack=%.1f", randomErr, c2Err, twoDErr)
 	if c2Err*2 > randomErr {
 		t.Errorf("random (%.1f) should be at least 2x worse than random-c2 (%.1f)", randomErr, c2Err)
 	}

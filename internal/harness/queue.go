@@ -2,7 +2,6 @@ package harness
 
 import (
 	"stack2d/internal/msqueue"
-	"stack2d/internal/quality"
 	"stack2d/internal/twodqueue"
 )
 
@@ -55,10 +54,6 @@ func NewMSQueueFactory() Factory {
 // serves both the static baseline and the adaptive run in
 // cmd/adapttune -queue.
 func RunPhasedQueue(q *twodqueue.Queue[uint64], phases []Phase, w PhasedWorkload) (PhasedResult, error) {
-	var oracle phasedOracle
-	if w.Quality {
-		oracle = &quality.FIFOOracle{}
-	}
 	return runPhased(func(id int) (Worker, func()) {
 		h := q.NewHandle()
 		if id >= 0 {
@@ -67,5 +62,5 @@ func RunPhasedQueue(q *twodqueue.Queue[uint64], phases []Phase, w PhasedWorkload
 			h.Pin(q.PlacementSocketFor(id))
 		}
 		return queueHandleWorker{h}, h.FlushStats
-	}, oracle, true, phases, w)
+	}, true, phases, w)
 }

@@ -3,13 +3,9 @@ package harness
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"stack2d/internal/quality"
-	"stack2d/internal/stats"
-	"stack2d/internal/xrand"
 )
 
 // Workload describes one experiment run, mirroring the paper's setup.
@@ -36,11 +32,6 @@ type Workload struct {
 	// operations"); the full version explores non-zero loads, which dilute
 	// contention.
 	ThinkSpin int
-	// SplitRoles dedicates half the workers (rounding up) to pushing and
-	// the rest to popping — the producer/consumer pattern under which
-	// elimination thrives and window maintenance is one-directional.
-	// PushRatio is ignored for role-split runs.
-	SplitRoles bool
 }
 
 // think burns the configured computational load; the result is returned so
@@ -69,18 +60,6 @@ func (w Workload) Validate() error {
 	return nil
 }
 
-// DefaultWorkload returns the paper's configuration at p workers with a
-// CI-friendly duration; pass -paper to the CLIs for the full 5 s.
-func DefaultWorkload(p int) Workload {
-	return Workload{
-		Workers:   p,
-		Duration:  200 * time.Millisecond,
-		PushRatio: 0.5,
-		Prefill:   32768,
-		Seed:      1,
-	}
-}
-
 // Result summarises one run.
 type Result struct {
 	Ops        uint64        // completed operations (pushes + pops)
@@ -90,25 +69,12 @@ type Result struct {
 	Elapsed    time.Duration // measured wall time of the timed phase
 	Throughput float64       // Ops per second
 	Quality    quality.Stats // zero unless measured (RunQuality)
-
-	// LatencyP50/P99 are sampled per-operation latencies (1 op in 256 is
-	// timed); zero when too few samples were collected.
-	LatencyP50 time.Duration
-	LatencyP99 time.Duration
-}
-
-// oracle abstracts the two error-distance instruments (LIFO side-list for
-// stacks, FIFO side-list for the queue extension).
-type oracle interface {
-	Insert(label uint64)
-	Remove(label uint64) int
-	Snapshot() quality.Stats
 }
 
 // Run executes one throughput run: prefill, then P workers hammer the stack
 // for the configured duration.
 func Run(f Factory, w Workload) (Result, error) {
-	return run(f, w, nil)
+	return runFactory(f, w, false, false)
 }
 
 // RunQuality executes one run with the LIFO error-distance oracle
@@ -117,206 +83,40 @@ func Run(f Factory, w Workload) (Result, error) {
 // unobserved system; the paper likewise measures the two in dedicated
 // runs.
 func RunQuality(f Factory, w Workload) (Result, error) {
-	return run(f, w, &quality.Oracle{})
+	return runFactory(f, w, true, false)
 }
 
 // RunQueueQuality is RunQuality with the FIFO oracle, for the 2D-Queue
-// extension experiments (Push = enqueue, Pop = dequeue).
+// extension experiments (Push = enqueue, Pop = dequeue). Enqueues are
+// recorded at invocation, as in RunPhasedQueue (see runPhased).
 func RunQueueQuality(f Factory, w Workload) (Result, error) {
-	return run(f, w, &quality.FIFOOracle{})
+	return runFactory(f, w, true, true)
 }
 
-func run(f Factory, w Workload, oracle oracle) (Result, error) {
+// runFactory is Run, RunQuality and RunQueueQuality: a single phase of the
+// shared load generator over a fresh instance of f.
+func runFactory(f Factory, w Workload, measure, fifo bool) (Result, error) {
 	if err := w.Validate(); err != nil {
 		return Result{}, err
 	}
 	inst := f.New()
-
-	// Prefill with unique labels; worker labels start above this range.
-	pre := inst.NewWorker()
-	for i := 0; i < w.Prefill; i++ {
-		label := uint64(i) + 1
-		pre.Push(label)
-		if oracle != nil {
-			oracle.Insert(label)
+	mkWorker := func(int) (Worker, func()) { return inst.NewWorker(), func() {} }
+	if w.PinThreads {
+		// mkWorker runs on the goroutine that will use the worker.
+		mkWorker = func(int) (Worker, func()) {
+			runtime.LockOSThread()
+			return inst.NewWorker(), runtime.UnlockOSThread
 		}
 	}
-
-	type counters struct {
-		pushes, pops, empty uint64
-	}
-	perW := make([]counters, w.Workers)
-
-	var latMu sync.Mutex
-	var latencies []time.Duration
-
-	var stop atomic.Bool
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < w.Workers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if w.PinThreads {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
-			worker := inst.NewWorker()
-			rng := xrand.New(w.Seed + uint64(id)*0x9e3779b97f4a7c15 + 1)
-			// Unique labels: worker id in the high bits, counter below;
-			// offset past the prefill range.
-			label := uint64(id+1)<<40 | uint64(w.Prefill)
-			var c counters
-			var sink uint64
-			var lat []time.Duration
-			opCount := 0
-			isPusher := id < (w.Workers+1)/2
-			<-start
-			for !stop.Load() {
-				opCount++
-				var opBegan time.Time
-				timed := opCount&255 == 0
-				if timed {
-					opBegan = time.Now()
-				}
-				push := rng.Float64() < w.PushRatio
-				if w.SplitRoles {
-					push = isPusher
-				}
-				if push {
-					label++
-					worker.Push(label)
-					if oracle != nil {
-						oracle.Insert(label)
-					}
-					c.pushes++
-				} else {
-					v, ok := worker.Pop()
-					if ok {
-						if oracle != nil {
-							oracle.Remove(v)
-						}
-						c.pops++
-					} else {
-						c.empty++
-					}
-				}
-				if timed {
-					lat = append(lat, time.Since(opBegan))
-				}
-				if w.ThinkSpin > 0 {
-					sink = think(w.ThinkSpin, sink)
-				}
-			}
-			_ = sink
-			perW[id] = c
-			latMu.Lock()
-			latencies = append(latencies, lat...)
-			latMu.Unlock()
-		}(i)
-	}
-
-	began := time.Now()
-	close(start)
-	time.Sleep(w.Duration)
-	stop.Store(true)
-	wg.Wait()
-	elapsed := time.Since(began)
-
-	var res Result
-	for _, c := range perW {
-		res.Pushes += c.pushes
-		res.Pops += c.pops
-		res.EmptyPops += c.empty
-	}
-	res.Ops = res.Pushes + res.Pops + res.EmptyPops
-	res.Elapsed = elapsed
-	res.Throughput = float64(res.Ops) / elapsed.Seconds()
-	if oracle != nil {
-		res.Quality = oracle.Snapshot()
-	}
-	if len(latencies) >= 8 {
-		xs := make([]float64, len(latencies))
-		for i, d := range latencies {
-			xs[i] = float64(d)
-		}
-		res.LatencyP50 = time.Duration(stats.Percentile(xs, 50))
-		res.LatencyP99 = time.Duration(stats.Percentile(xs, 99))
-	}
-	return res, nil
-}
-
-// RunOps executes a deterministic fixed-operation-count run (no timer),
-// used by tests: each worker performs opsPerWorker operations. It returns
-// the aggregated result (Throughput still populated from wall time).
-func RunOps(f Factory, w Workload, opsPerWorker int) (Result, error) {
-	if err := w.Validate(); err != nil {
+	phase := Phase{Name: f.Name, Duration: w.Duration, Workers: w.Workers, PushRatio: w.PushRatio, ThinkSpin: w.ThinkSpin}
+	out, err := runPhased(mkWorker, fifo, []Phase{phase},
+		PhasedWorkload{MaxWorkers: w.Workers, Prefill: w.Prefill, Seed: w.Seed, Quality: measure})
+	if err != nil {
 		return Result{}, err
 	}
-	if opsPerWorker < 0 {
-		return Result{}, fmt.Errorf("harness: opsPerWorker must be >= 0, got %d", opsPerWorker)
-	}
-	inst := f.New()
-	pre := inst.NewWorker()
-	for i := 0; i < w.Prefill; i++ {
-		pre.Push(uint64(i) + 1)
-	}
-	type counters struct {
-		pushes, pops, empty uint64
-	}
-	perW := make([]counters, w.Workers)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < w.Workers; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			worker := inst.NewWorker()
-			rng := xrand.New(w.Seed + uint64(id)*0x9e3779b97f4a7c15 + 1)
-			label := uint64(id+1)<<40 | uint64(w.Prefill)
-			var c counters
-			var sink uint64
-			isPusher := id < (w.Workers+1)/2
-			<-start
-			for n := 0; n < opsPerWorker; n++ {
-				push := rng.Float64() < w.PushRatio
-				if w.SplitRoles {
-					push = isPusher
-				}
-				if push {
-					label++
-					worker.Push(label)
-					c.pushes++
-				} else {
-					if _, ok := worker.Pop(); ok {
-						c.pops++
-					} else {
-						c.empty++
-					}
-				}
-				if w.ThinkSpin > 0 {
-					sink = think(w.ThinkSpin, sink)
-				}
-			}
-			_ = sink
-			perW[id] = c
-		}(i)
-	}
-	began := time.Now()
-	close(start)
-	wg.Wait()
-	elapsed := time.Since(began)
-
-	var res Result
-	for _, c := range perW {
-		res.Pushes += c.pushes
-		res.Pops += c.pops
-		res.EmptyPops += c.empty
-	}
-	res.Ops = res.Pushes + res.Pops + res.EmptyPops
-	res.Elapsed = elapsed
-	if sec := elapsed.Seconds(); sec > 0 {
-		res.Throughput = float64(res.Ops) / sec
-	}
-	return res, nil
+	p := out.Phases[0]
+	return Result{
+		Ops: p.Ops, Pushes: p.Pushes, Pops: p.Pops, EmptyPops: p.EmptyPops,
+		Elapsed: p.Elapsed, Throughput: p.Throughput, Quality: out.Quality,
+	}, nil
 }

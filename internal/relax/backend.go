@@ -130,12 +130,12 @@ func NewTwoDBackend[T any](cfg core.Config) (Backend[T], error) {
 	return &twoDBackend[T]{s: s}, nil
 }
 
-func (b *twoDBackend[T]) Algorithm() Algorithm          { return TwoDStack }
-func (b *twoDBackend[T]) KBound() int64                 { return b.s.Config().K() }
-func (b *twoDBackend[T]) Len() int                      { return b.s.Len() }
-func (b *twoDBackend[T]) Drain() []T                    { return b.s.Drain() }
-func (b *twoDBackend[T]) StatsSnapshot() core.OpStats   { return b.s.StatsSnapshot() }
-func (b *twoDBackend[T]) Config() core.Config           { return b.s.Config() }
+func (b *twoDBackend[T]) Algorithm() Algorithm            { return TwoDStack }
+func (b *twoDBackend[T]) KBound() int64                   { return b.s.Config().K() }
+func (b *twoDBackend[T]) Len() int                        { return b.s.Len() }
+func (b *twoDBackend[T]) Drain() []T                      { return b.s.Drain() }
+func (b *twoDBackend[T]) StatsSnapshot() core.OpStats     { return b.s.StatsSnapshot() }
+func (b *twoDBackend[T]) Config() core.Config             { return b.s.Config() }
 func (b *twoDBackend[T]) Reconfigure(c core.Config) error { return b.s.Reconfigure(c) }
 func (b *twoDBackend[T]) ReconfigureOnSocket(c core.Config, req int) error {
 	return b.s.ReconfigureOnSocket(c, req)
@@ -146,9 +146,9 @@ type twoDHandle[T any] struct{ h *core.Handle[T] }
 
 func (b *twoDBackend[T]) NewHandle() Handle[T] { return twoDHandle[T]{h: b.s.NewHandle()} }
 
-func (h twoDHandle[T]) Push(v T)           { h.h.Push(v) }
+func (h twoDHandle[T]) Push(v T)            { h.h.Push(v) }
 func (h twoDHandle[T]) Pop() (v T, ok bool) { return h.h.Pop() }
-func (h twoDHandle[T]) Flush()             { h.h.FlushStats() }
+func (h twoDHandle[T]) Flush()              { h.h.FlushStats() }
 
 // --- self-counting baselines (treiber, ms-queue) ----------------------------
 
@@ -381,11 +381,23 @@ func NewFlatCombiningBackend[T any]() Backend[T] {
 	}
 }
 
+// Figure2K is the relaxation budget of the k-bounded designs in the
+// paper's concurrency sweep (EXPERIMENTS.md); harness.Figure2Factory and
+// NewDefaultBackend both configure k-robin from it.
+const Figure2K = 1024
+
 // NewDefaultBackend builds the algorithm's default configuration for p
-// expected threads — the Figure 2 setups for the figure algorithms,
-// DefaultConfig-style sizing for the rest. It is the constructor the
-// catalogue audit and the benchmark series use; pass a target k through
-// the specific constructors when the default is not what you want.
+// expected threads. The catalogue audit and the benchmark series use it;
+// pass a target k through the specific constructors when the default is
+// not what you want. What it builds:
+//
+//   - 2D-stack: core.DefaultConfig(p), as in harness.Figure2Factory;
+//   - k-robin: KRobinConfigForK(Figure2K, p), as in harness.Figure2Factory;
+//   - k-segment: KSegmentConfigForK(Figure2K), segments of 1025 items
+//     (harness.Figure2Factory uses 64);
+//   - random and random-c2: width 4p (harness.Figure2Factory uses 64);
+//   - elimination and eltree: their DefaultConfig(p);
+//   - treiber, flat-combining and ms-queue: their only configuration.
 func NewDefaultBackend[T any](a Algorithm, p int) (Backend[T], error) {
 	if p < 1 {
 		p = 1
@@ -425,8 +437,3 @@ type unknownAlgorithmError struct{ a Algorithm }
 func (e *unknownAlgorithmError) Error() string {
 	return "relax: no backend for algorithm " + e.a.String()
 }
-
-// Figure2K is re-declared here so NewDefaultBackend does not depend on
-// the harness; it matches harness.Figure2K (pinned by TestCatalogueAudit
-// indirectly — both trace to EXPERIMENTS.md).
-const Figure2K = 1024

@@ -296,12 +296,11 @@ func TestBackendKBoundMatchesStructure(t *testing.T) {
 	}
 }
 
-// TestFigure2KMatchesHarness guards the re-declared constant: harness's
-// Figure2K cannot be imported here (harness imports relax), so the two are
-// pinned to the documented value independently.
+// TestFigure2KMatchesHarness pins the Figure 2 budget that
+// harness.Figure2Factory and NewDefaultBackend share (EXPERIMENTS.md).
 func TestFigure2KMatchesHarness(t *testing.T) {
 	if Figure2K != 1024 {
-		t.Fatalf("Figure2K = %d, want 1024 (keep in sync with harness.Figure2K)", Figure2K)
+		t.Fatalf("Figure2K = %d, want 1024 (EXPERIMENTS.md)", Figure2K)
 	}
 }
 

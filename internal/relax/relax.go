@@ -31,6 +31,7 @@ package relax
 
 import (
 	"fmt"
+	"strings"
 
 	"stack2d/internal/core"
 	"stack2d/internal/ksegment"
@@ -85,11 +86,22 @@ func (a Algorithm) String() string {
 	}
 }
 
-// ParseAlgorithm inverts String; it accepts exactly the catalogue
-// spellings (the round trip is pinned by TestCatalogueAudit).
+// ParseAlgorithm inverts String (the round trip is pinned by
+// TestCatalogueAudit). It ignores letter case and also takes the short
+// spellings the CLIs accept: "2d", "2dstack", "ksegment", "krobin", "c2".
 func ParseAlgorithm(s string) (Algorithm, error) {
+	switch s = strings.ToLower(s); s {
+	case "2d", "2dstack":
+		return TwoDStack, nil
+	case "ksegment":
+		return KSegment, nil
+	case "krobin":
+		return KRobin, nil
+	case "c2":
+		return RandomC2Stack, nil
+	}
 	for _, a := range AllAlgorithms() {
-		if a.String() == s {
+		if strings.ToLower(a.String()) == s {
 			return a, nil
 		}
 	}
