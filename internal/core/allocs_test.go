@@ -8,8 +8,9 @@ import (
 
 // TestOpAllocsPinned pins the steady-state allocation cost of the hot path,
 // sampling branch included (AllocsPerRun's iteration count crosses many
-// 1-in-64 sampling strides): Push allocates exactly its node and the
-// replacement descriptor, Pop only the replacement descriptor. The latency
+// 1-in-64 sampling strides): Push allocates exactly one descriptor, which
+// embeds the pushed cell, and Pop nothing, because it CASes back to the
+// state the matching push replaced (DESIGN.md §3). The latency
 // sampler must add nothing — the countdown is a plain field decrement and
 // time.Now does not allocate — and neither must an installed structural
 // observer, which is never read on the operation path.
@@ -17,11 +18,11 @@ func TestOpAllocsPinned(t *testing.T) {
 	run := func(t *testing.T, s *Stack[uint64]) {
 		h := s.NewHandle()
 		var i uint64
-		if got := testing.AllocsPerRun(10000, func() { h.Push(i); i++ }); got != 2 {
-			t.Fatalf("Push allocates %v per op, pinned at 2 (node + descriptor)", got)
+		if got := testing.AllocsPerRun(10000, func() { h.Push(i); i++ }); got != 1 {
+			t.Fatalf("Push allocates %v per op, pinned at 1 (descriptor with embedded top)", got)
 		}
-		if got := testing.AllocsPerRun(5000, func() { h.Pop() }); got != 1 {
-			t.Fatalf("Pop allocates %v per op, pinned at 1 (descriptor)", got)
+		if got := testing.AllocsPerRun(5000, func() { h.Pop() }); got != 0 {
+			t.Fatalf("Pop allocates %v per op, pinned at 0 (reuses the lower state)", got)
 		}
 	}
 	t.Run("no-observer", func(t *testing.T) {
@@ -43,18 +44,19 @@ func TestOpAllocsPinned(t *testing.T) {
 		s := MustNew[uint64](Config{Width: 1, Depth: 1, Shift: 1, RandomHops: 0})
 		h := s.NewHandle()
 		var i uint64
-		if got := testing.AllocsPerRun(10000, func() { h.Push(i); i++; h.Pop() }); got != 3 {
-			t.Fatalf("armed-gate Push+Pop allocates %v per pair, pinned at 3 (node + 2 descriptors)", got)
+		if got := testing.AllocsPerRun(10000, func() { h.Push(i); i++; h.Pop() }); got != 1 {
+			t.Fatalf("armed-gate Push+Pop allocates %v per pair, pinned at 1 (push descriptor)", got)
 		}
 	})
 }
 
 // TestBufferedAllocsAmortised pins the combined-publication payoff: with an
 // op buffer of cap 16, a buffered push/pop pair amortises to strictly less
-// than one allocation per operation. A publish costs one node slab plus one
-// descriptor per CAS group and a refill one descriptor per group, so the
-// steady state is about 3/cap allocations per pair — against 3 for the
-// unbuffered pair pinned above.
+// than one allocation per operation. A publish costs one slab of m-1 cells
+// plus one descriptor (embedding the topmost value) per CAS group, and a
+// refill at most one descriptor per group (none when it pops back to an
+// existing lower state), so the steady state is about 2/cap allocations
+// per pair — against 1 for the unbuffered pair pinned above.
 func TestBufferedAllocsAmortised(t *testing.T) {
 	s := MustNew[uint64](Config{Width: 4, Depth: 64, Shift: 64, RandomHops: 2})
 	h := s.NewHandle()
@@ -75,10 +77,12 @@ func TestBufferedAllocsAmortised(t *testing.T) {
 		}
 	})
 	// 32 ops per run; < 32 allocs/run means < 1 alloc/op. The measured
-	// steady state is ~3 (slab + 2 descriptors); leave slack for an extra
-	// CAS-split group without letting a per-op regression slip through.
+	// steady state is 2 (the slab of 15 cells + the descriptor; the refill
+	// of 16 pops back to the publish's prev and allocates nothing); leave
+	// slack for an extra CAS-split group without letting a per-op
+	// regression slip through.
 	if got >= 16 {
-		t.Fatalf("buffered cycle allocates %v per 32 ops — amortisation lost (want < 16, ~3 expected)", got)
+		t.Fatalf("buffered cycle allocates %v per 32 ops — amortisation lost (want < 16, ~2 expected)", got)
 	}
 }
 

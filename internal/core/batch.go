@@ -50,20 +50,25 @@ func (h *Handle[T]) PushBatch(vs []T) {
 				if m > headroom {
 					m = headroom
 				}
-				// Chain the first m values so remaining[m-1] is topmost. The
-				// nodes come from one slab allocation and are linked in
-				// place, so a combined publish costs one allocation per CAS
-				// group instead of one per value (the slab stays reachable
-				// until every node carved from it is popped and dropped —
-				// the lifetime of a batch's top node, which batched
+				// Chain the first m values so remaining[m-1] is topmost: it
+				// goes in the new descriptor's embedded top cell, and the
+				// m-1 values under it in cells carved from one slab and
+				// linked in place, so a combined publish costs one slab
+				// plus one descriptor per CAS group instead of one
+				// allocation per value (the slab stays reachable until
+				// every cell carved from it is popped and dropped — the
+				// lifetime of a batch's top cell, which batched
 				// producer/consumer traffic turns over promptly).
-				slab := make([]node[T], m)
-				top := d.top
-				for i := int64(0); i < m; i++ {
-					slab[i] = node[T]{value: remaining[i], next: top}
-					top = &slab[i]
+				next := d.head()
+				if m > 1 {
+					slab := make([]node[T], m-1)
+					for i := range slab {
+						slab[i] = node[T]{value: remaining[i], next: next}
+						next = &slab[i]
+					}
 				}
-				if ss.cas(d, &descriptor[T]{top: top, count: d.count + m}) {
+				nd := &descriptor[T]{top: node[T]{value: remaining[m-1], next: next}, count: d.count + m, prev: d}
+				if ss.cas(d, nd) {
 					h.Last[0] = idx
 					h.Ctr.Pushes += uint64(m)
 					remaining = remaining[m:]
@@ -126,7 +131,8 @@ func (h *Handle[T]) PopBatch(max int) []T {
 
 // popBatchInto is PopBatch appending into a caller-owned slice: the op
 // buffer's prefetch refill (buffer.go) passes its standing buffer so a
-// steady-state refill allocates nothing but the replacement descriptors.
+// steady-state refill allocates at most one replacement descriptor per
+// CAS group.
 // len(out) must be 0 relative to the max budget (callers pass out[:0]).
 func (h *Handle[T]) popBatchInto(out []T, max int) []T {
 	geo := h.BeginBatch() // see PushBatch: no sample, no countdown tick
@@ -168,19 +174,20 @@ func (h *Handle[T]) popBatchInto(out []T, max int) []T {
 				if m > avail {
 					m = avail
 				}
-				// Walk m nodes off the top to find the new top, CAS, and
+				// Walk m cells off the top to find the new top, CAS, and
 				// only then collect the values: the detached chain is still
-				// reachable from d.top, so the collection needs no staging
-				// buffer (the old per-attempt `taken` slice was PopBatch's
-				// last per-group allocation besides the descriptor).
-				top := d.top
+				// reachable from d, so the collection needs no staging
+				// buffer. The new state is d.below(m, top): an existing
+				// lower state when one has count d.count-m, else one new
+				// descriptor.
+				top := d.head()
 				for i := int64(0); i < m; i++ {
 					top = top.next
 				}
-				if ss.cas(d, &descriptor[T]{top: top, count: d.count - m}) {
+				if ss.cas(d, d.below(m, top)) {
 					h.Last[0] = idx
 					h.Ctr.Pops += uint64(m)
-					for n, i := d.top, int64(0); i < m; i++ {
+					for n, i := d.head(), int64(0); i < m; i++ {
 						out = append(out, n.value)
 						n = n.next
 					}

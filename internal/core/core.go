@@ -6,8 +6,12 @@
 //
 // The stack is an array of `width` Treiber-style sub-stacks, each described
 // by an immutable {top, count} descriptor replaced atomically on every
-// successful operation. A shared Global counter together with the `depth`
-// parameter defines the *window*: a sub-stack is a valid target for
+// successful operation. The descriptor embeds its top cell and links to a
+// lower state of the same list, so a push allocates one descriptor and a
+// pop usually CASes back to the state the matching push replaced,
+// allocating nothing (DESIGN.md §3). A shared Global counter together with
+// the `depth` parameter defines the *window*: a sub-stack is a valid
+// target for
 //
 //   - Push when count < Global
 //   - Pop  when count > Global − depth
@@ -216,12 +220,14 @@ func (s *Stack[T]) Drain() []T {
 
 // CheckInvariants walks every sub-stack and verifies the structural
 // invariants that the descriptor scheme maintains: each descriptor's count
-// equals the actual length of its list, counts are non-negative, and
-// Global is positive (in quiescent states with no reconfiguration in
-// flight it additionally satisfies Global >= Depth, but a pop racing a
-// depth change may legitimately leave it between 1 and the new depth). It
-// is intended for quiescent states (tests, debugging); under concurrency a
-// descriptor read is atomic but the whole walk is not.
+// equals the actual length of its list, counts are non-negative, counts
+// strictly fall along the prev chain, each prev's top cell is the very
+// list cell at depth count − prev.count (DESIGN.md §3), and Global is
+// positive (in quiescent states with no reconfiguration in flight it
+// additionally satisfies Global >= Depth, but a pop racing a depth change
+// may legitimately leave it between 1 and the new depth). It is intended
+// for quiescent states (tests, debugging); under concurrency a descriptor
+// read is atomic but the whole walk is not.
 func (s *Stack[T]) CheckInvariants() error {
 	if g := s.global.V.Load(); g < 1 {
 		return fmt.Errorf("core: Global %d must be positive", g)
@@ -236,7 +242,7 @@ func (s *Stack[T]) CheckInvariants() error {
 			return fmt.Errorf("core: sub-stack %d has negative count %d", i, d.count)
 		}
 		var n int64
-		for node := d.top; node != nil; node = node.next {
+		for c := d.head(); c != nil; c = c.next {
 			n++
 			if n > d.count {
 				break
@@ -244,6 +250,19 @@ func (s *Stack[T]) CheckInvariants() error {
 		}
 		if n != d.count {
 			return fmt.Errorf("core: sub-stack %d descriptor count %d but list length >= %d", i, d.count, n)
+		}
+		// The list has exactly d.count cells, so the walk below stays on it.
+		cell, depth := d.head(), int64(0)
+		for last, p := d.count, d.prev; p != nil; last, p = p.count, p.prev {
+			if p.count >= last || p.count < 0 {
+				return fmt.Errorf("core: sub-stack %d prev chain count %d under count %d", i, p.count, last)
+			}
+			for ; depth < d.count-p.count; depth++ {
+				cell = cell.next
+			}
+			if p.head() != cell {
+				return fmt.Errorf("core: sub-stack %d prev state of count %d is not the list at depth %d", i, p.count, depth)
+			}
 		}
 	}
 	return nil

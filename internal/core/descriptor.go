@@ -6,25 +6,65 @@ import (
 	"stack2d/internal/pad"
 )
 
-// node is one cell of a sub-stack's singly linked list.
+// node is one cell of a sub-stack's singly linked list below its top. The
+// topmost cell lives inside the descriptor (descriptor.top).
 type node[T any] struct {
 	value T
 	next  *node[T]
 }
 
-// descriptor is the immutable per-sub-stack snapshot the paper updates with
-// a 16-byte compare-and-exchange: the topmost node pointer and the item
-// counter, changed together in one atomic step.
+// descriptor is the immutable per-sub-stack state the paper updates with a
+// 16-byte compare-and-exchange: the topmost cell and the item counter,
+// changed together in one atomic step.
 //
-// Substitution note (see DESIGN.md §3): instead of cmpxchg16b we allocate a
-// fresh descriptor per successful operation and swing a single
-// atomic.Pointer. The {top, count} pair still changes atomically, the
-// algorithm remains lock-free, and the garbage collector rules out ABA on
-// descriptor addresses because a descriptor cannot be freed (hence reused)
-// while a CAS still references it.
+// Substitution note (see DESIGN.md §3): Go has no double-width CAS, so a
+// state is a descriptor object and a sub-stack swings one atomic.Pointer to
+// it. The descriptor embeds its top cell, so a push allocates exactly one
+// object, and links through prev to a lower state of the same list, so a
+// pop usually CASes back to a state that already exists and allocates
+// nothing. A published descriptor and every cell under it never change (the
+// one exception is the shrink splice, which rewrites a dropped chain's
+// bottom link after epoch quiescence, when no handle can reach it), so a
+// descriptor pointer always denotes one {list, count} state: a CAS that
+// succeeds against a descriptor a pop has put back acts on exactly the
+// state it validated, which is the semantics of the paper's value-compared
+// CAS.
+//
+// Invariant (checked by Stack.CheckInvariants): counts strictly fall along
+// prev, and each prev's top cell is the very list cell at depth
+// count − prev.count (for a count-0 prev, the end of the list).
 type descriptor[T any] struct {
-	top   *node[T]
-	count int64 // exact length of the list hanging off top
+	top   node[T]        // topmost cell, embedded; unused when count == 0
+	count int64          // exact list length
+	prev  *descriptor[T] // a lower state of this same list (a suffix), or nil
+}
+
+// head returns the topmost cell, or nil for an empty state.
+func (d *descriptor[T]) head() *node[T] {
+	if d.count == 0 {
+		return nil
+	}
+	return &d.top
+}
+
+// below returns the state m cells under d, whose top cell is newTop (nil
+// when m == d.count). It walks prev to the state with count d.count−m and
+// reuses it when it exists; otherwise it allocates one descriptor copying
+// *newTop that links to the nearest lower state.
+func (d *descriptor[T]) below(m int64, newTop *node[T]) *descriptor[T] {
+	c := d.count - m
+	p := d.prev
+	for p != nil && p.count > c {
+		p = p.prev
+	}
+	if p != nil && p.count == c {
+		return p
+	}
+	nd := &descriptor[T]{count: c, prev: p}
+	if c > 0 {
+		nd.top = *newTop
+	}
+	return nd
 }
 
 // subStack is a single sub-stack slot in the stack-array. Each slot is

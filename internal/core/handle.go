@@ -46,7 +46,9 @@ func (h *Handle[T]) Push(v T) {
 	// it the Theorem 1 bound — is identical (DESIGN.md §7).
 	ord, pos, localN := h.Probe(geo)
 	sockIdx := h.SockIdx(geo)
-	n := &node[T]{value: v}
+	// One descriptor per push, refilled across CAS retries: it is not
+	// published until a CAS succeeds.
+	nd := &descriptor[T]{top: node[T]{value: v}}
 	for {
 		global := s.global.V.Load()
 		idx := h.Last[0]
@@ -69,8 +71,8 @@ func (h *Handle[T]) Push(v T) {
 			h.Ctr.Probes++
 			if d.count+ss.base.Load() < global {
 				// Valid for push: attempt the descriptor swap.
-				n.next = d.top
-				if ss.cas(d, &descriptor[T]{top: n, count: d.count + 1}) {
+				nd.top.next, nd.count, nd.prev = d.head(), d.count+1, d
+				if ss.cas(d, nd) {
 					h.Last[0] = idx
 					h.Ctr.Pushes++
 					h.End()
@@ -137,8 +139,8 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 	for {
 		global := s.global.V.Load()
 		// Steady state guarantees global >= depth; a racing depth change
-		// can briefly violate it, so clamp the floor at zero (count > 0
-		// then still implies top != nil).
+		// can briefly violate it, so clamp the floor at zero (a pop still
+		// requires count > 0).
 		floor := global - depth
 		if floor < 0 {
 			floor = 0
@@ -166,9 +168,11 @@ func (h *Handle[T]) Pop() (v T, ok bool) {
 			base := ss.base.Load()
 			h.Ctr.Probes++
 			if d.count > 0 && d.count+base > floor {
-				// Valid for pop: its height is above the floor, and
-				// count > 0 implies top != nil.
-				if ss.cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
+				// Valid for pop: its height is above the floor and
+				// count > 0. The state one cell down is usually d.prev,
+				// the descriptor this top's push replaced, so the pop
+				// allocates nothing.
+				if ss.cas(d, d.below(1, d.top.next)) {
 					h.Last[0] = idx
 					h.Ctr.Pops++
 					h.End()
@@ -258,7 +262,7 @@ func (h *Handle[T]) TryPop() (v T, ok bool) {
 		base := ss.base.Load()
 		h.Ctr.Probes++
 		if d.count > 0 && d.count+base > floor {
-			if ss.cas(d, &descriptor[T]{top: d.top.next, count: d.count - 1}) {
+			if ss.cas(d, d.below(1, d.top.next)) {
 				h.Last[0] = idx
 				h.Ctr.Pops++
 				h.End()

@@ -32,10 +32,13 @@ func (s *Stack[T]) raiseGlobal(depth int64) {
 // to the real list length, so window validity and emptiness detection are
 // unaffected.
 //
-// Safety: after old-epoch quiescence the dropped slots and their nodes are
-// exclusively ours, so writing the chain bottom's next pointer is race-free
-// until the CAS publishes it; a CAS loss to a concurrent operation on the
-// target just re-picks the least-loaded target and retries.
+// Safety: after old-epoch quiescence the dropped slots, their descriptors
+// and their cells are exclusively ours, so writing the chain bottom's next
+// pointer is race-free until the CAS publishes it (the one write to a
+// once-published cell, DESIGN.md §3); a CAS loss to a concurrent operation
+// on the target just re-picks the least-loaded target and retries. The
+// dropped chain's own descriptors survive only as cells of the spliced
+// list: no prev link reaches them, so their stale counts are never read.
 //
 // The returned value is this migration's addition to the displacement
 // bound, which the kernel accumulates and forwards to the shrink-handoff
@@ -48,7 +51,10 @@ func (s *Stack[T]) spliceStranded(next *Geometry[*subStack[T]], dropped []*subSt
 		if d.count == 0 {
 			continue
 		}
-		bottom := d.top
+		// The spliced state copies the chain's top cell and links prev
+		// to the target's old state, which its bottom link now reaches.
+		nd := &descriptor[T]{top: d.top}
+		bottom := &nd.top
 		for bottom.next != nil {
 			bottom = bottom.next
 		}
@@ -59,8 +65,9 @@ func (s *Stack[T]) spliceStranded(next *Geometry[*subStack[T]], dropped []*subSt
 					tgt, td = cand, cd
 				}
 			}
-			bottom.next = td.top
-			if tgt.cas(td, &descriptor[T]{top: d.top, count: td.count + d.count}) {
+			bottom.next = td.head()
+			nd.count, nd.prev = td.count+d.count, td
+			if tgt.cas(td, nd) {
 				disp += td.count + d.count
 				break
 			}
