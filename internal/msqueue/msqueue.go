@@ -1,7 +1,8 @@
 // Package msqueue implements the classic Michael–Scott lock-free FIFO queue
-// (Michael & Scott, PODC 1996). It serves the 2D-Queue extension (see
-// internal/twodqueue) the same way internal/treiber serves the 2D-Stack: as
-// the strict baseline and as the sub-structure building block.
+// (Michael & Scott, PODC 1996). It is the strict FIFO baseline the 2D-Queue
+// (internal/twodqueue) is measured against, as internal/treiber is for the
+// 2D-Stack. The 2D-Queue keeps its own inline copy of this list as its
+// sub-queue, with the window counters on the end pointers' cache lines.
 //
 // The queue is a singly linked list with a dummy head node. Enqueue links a
 // node after the current tail and swings the tail pointer (helping a lagging
@@ -85,53 +86,6 @@ func (q *Queue[T]) Dequeue() (v T, ok bool) {
 			return v, true
 		}
 	}
-}
-
-// TryDequeue attempts a single CAS round. contended distinguishes
-// interference from emptiness, mirroring treiber.Stack.TryPop for the
-// window search in the 2D-Queue.
-func (q *Queue[T]) TryDequeue() (v T, ok bool, contended bool) {
-	head := q.head.Load()
-	tail := q.tail.Load()
-	next := head.next.Load()
-	if next == nil {
-		var zero T
-		return zero, false, false
-	}
-	if head == tail {
-		q.tail.CompareAndSwap(tail, next)
-	}
-	if q.head.CompareAndSwap(head, next) {
-		q.length.Add(-1)
-		// As in Dequeue: the winner moves the value out of the new dummy.
-		v = next.value
-		var zero T
-		next.value = zero
-		return v, true, false
-	}
-	var zero T
-	return zero, false, true
-}
-
-// TryEnqueue attempts a single CAS round to append v. It reports whether it
-// succeeded; a false return means another enqueuer interfered (or the tail
-// was lagging and was helped forward). It exists for the 2D-Queue's window
-// search, which treats a failed attempt as a contention signal and hops to
-// another sub-queue instead of spinning here.
-func (q *Queue[T]) TryEnqueue(v T) bool {
-	n := &node[T]{value: v}
-	tail := q.tail.Load()
-	next := tail.next.Load()
-	if next != nil {
-		q.tail.CompareAndSwap(tail, next)
-		return false
-	}
-	if tail.next.CompareAndSwap(nil, n) {
-		q.tail.CompareAndSwap(tail, n)
-		q.length.Add(1)
-		return true
-	}
-	return false
 }
 
 // Empty reports whether the queue was observed empty.

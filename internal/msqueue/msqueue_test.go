@@ -68,18 +68,6 @@ func TestLenTracksQuiescent(t *testing.T) {
 	}
 }
 
-func TestTryDequeue(t *testing.T) {
-	q := New[int]()
-	if _, ok, contended := q.TryDequeue(); ok || contended {
-		t.Fatal("TryDequeue on empty misreported")
-	}
-	q.Enqueue(1)
-	v, ok, contended := q.TryDequeue()
-	if !ok || contended || v != 1 {
-		t.Fatalf("TryDequeue = (%d,%v,%v), want (1,true,false)", v, ok, contended)
-	}
-}
-
 func TestDrainOrder(t *testing.T) {
 	q := New[int]()
 	for i := 1; i <= 5; i++ {
@@ -217,53 +205,5 @@ func TestDequeuedValueIsCollectable(t *testing.T) {
 		default:
 			time.Sleep(time.Millisecond)
 		}
-	}
-}
-
-// TestTryDequeuedValueIsCollectable covers the TryDequeue path of the same
-// pinning bug.
-func TestTryDequeuedValueIsCollectable(t *testing.T) {
-	q := New[*[]byte]()
-	big := new([]byte)
-	*big = make([]byte, 1<<16)
-	collected := make(chan struct{})
-	runtime.SetFinalizer(big, func(*[]byte) { close(collected) })
-	q.Enqueue(big)
-	q.Enqueue(new([]byte))
-	got, ok, _ := q.TryDequeue()
-	if !ok || got != big {
-		t.Fatalf("TryDequeue = (%p,%v), want the enqueued pointer", got, ok)
-	}
-	got, big = nil, nil
-	deadline := time.After(5 * time.Second)
-	for {
-		runtime.GC()
-		select {
-		case <-collected:
-			return
-		case <-deadline:
-			t.Fatal("try-dequeued value still reachable: the dummy node pinned it")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-}
-
-// TestTryEnqueue exercises the single-round enqueue used by the 2D-Queue's
-// contention-hopping search.
-func TestTryEnqueue(t *testing.T) {
-	q := New[int]()
-	for i := 0; i < 100; i++ {
-		for !q.TryEnqueue(i) {
-		}
-	}
-	for want := 0; want < 100; want++ {
-		v, ok := q.Dequeue()
-		if !ok || v != want {
-			t.Fatalf("Dequeue = (%d,%v), want (%d,true)", v, ok, want)
-		}
-	}
-	if _, ok := q.Dequeue(); ok {
-		t.Fatal("queue not empty after drain")
 	}
 }

@@ -30,6 +30,9 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 	ord, pos, localN := h.Probe(geo)
 	sockIdx := h.SockIdx(geo)
 	remaining := vs
+	// n is remaining[0]'s node once allocated: it survives lost attempts,
+	// so each value allocates one node however many attempts it takes.
+	var n *node[T]
 	for len(remaining) > 0 {
 		global := q.globalEnq.V.Load()
 		idx := h.Last[enq]
@@ -48,19 +51,26 @@ func (h *Handle[T]) EnqueueBatch(vs []T) {
 			}
 			sub := geo.Subs[idx]
 			h.Ctr.Probes++
-			if headroom := global - sub.enqs.V.Load(); headroom > 0 {
+			if headroom := global - sub.enqs.Load(); headroom > 0 {
 				m := int64(len(remaining))
 				if m > headroom {
 					m = headroom
 				}
 				done := int64(0)
-				for done < m && sub.q.TryEnqueue(remaining[done]) {
+				for done < m {
+					if n == nil {
+						n = &node[T]{value: remaining[done]}
+					}
+					if !sub.tryEnqueue(n) {
+						break
+					}
+					n = nil
 					done++
 				}
 				if done > 0 {
 					// One counter bump for the whole run — the combined
 					// publication that amortises the coherence traffic.
-					sub.enqs.V.Add(done)
+					sub.enqs.Add(done)
 					h.Last[enq] = idx
 					h.Ctr.Pushes += uint64(done)
 					remaining = remaining[done:]
@@ -125,8 +135,8 @@ func (h *Handle[T]) DequeueBatch(max int) []T {
 
 // dequeueBatchInto is DequeueBatch appending into a caller-owned slice:
 // the op buffer's prefetch refill (buffer.go) passes its standing buffer
-// so a steady-state refill allocates nothing beyond the sub-queue's own
-// node recycling. Callers pass out[:0] relative to the max budget.
+// so a steady-state refill allocates nothing. Callers pass out[:0]
+// relative to the max budget.
 func (h *Handle[T]) dequeueBatchInto(out []T, max int) []T {
 	geo := h.BeginBatch() // see EnqueueBatch
 	q := h.q
@@ -153,7 +163,7 @@ func (h *Handle[T]) dequeueBatchInto(out []T, max int) []T {
 			}
 			sub := geo.Subs[idx]
 			h.Ctr.Probes++
-			if avail := global - sub.deqs.V.Load(); avail > 0 {
+			if avail := global - sub.deqs.Load(); avail > 0 {
 				m := int64(max - len(out))
 				if m > avail {
 					m = avail
@@ -161,7 +171,7 @@ func (h *Handle[T]) dequeueBatchInto(out []T, max int) []T {
 				done := int64(0)
 				contended := false
 				for done < m {
-					val, got, cont := sub.q.TryDequeue()
+					val, got, cont := sub.tryDequeue()
 					if !got {
 						contended = cont
 						break
@@ -170,7 +180,7 @@ func (h *Handle[T]) dequeueBatchInto(out []T, max int) []T {
 					done++
 				}
 				if done > 0 {
-					sub.deqs.V.Add(done) // one bump per run, as in EnqueueBatch
+					sub.deqs.Add(done) // one bump per run, as in EnqueueBatch
 					h.Last[deq] = idx
 					h.Ctr.Pops += uint64(done)
 					continue
@@ -189,7 +199,7 @@ func (h *Handle[T]) dequeueBatchInto(out []T, max int) []T {
 					continue
 				}
 				// Valid but empty: treat as a coverage probe.
-			} else if !sub.q.Empty() {
+			} else if !sub.empty() {
 				sawInvalidNonEmpty = true
 			}
 			if randLeft > 0 {

@@ -46,13 +46,13 @@ func (q *Queue[T]) handoffStranded(next *core.Geometry[*subQueue[T]], dropped []
 	loads := make([]int64, len(next.Subs))
 	var live, enqStart int64
 	for i, sq := range next.Subs {
-		loads[i] = int64(sq.q.Len())
+		loads[i] = sq.len()
 		live += loads[i]
-		enqStart += sq.enqs.V.Load()
+		enqStart += sq.enqs.Load()
 	}
 	stranded := int64(0)
 	for _, sq := range dropped {
-		stranded += int64(sq.q.Len())
+		stranded += sq.len()
 	}
 	if stranded == 0 {
 		// Nothing to migrate: no displacement happened and no counter was
@@ -63,7 +63,7 @@ func (q *Queue[T]) handoffStranded(next *core.Geometry[*subQueue[T]], dropped []
 	for moved := true; moved; {
 		moved = false
 		for _, sq := range dropped {
-			v, ok := sq.q.Dequeue()
+			v, ok := sq.dequeue()
 			if !ok {
 				continue
 			}
@@ -74,8 +74,7 @@ func (q *Queue[T]) handoffStranded(next *core.Geometry[*subQueue[T]], dropped []
 					j = i
 				}
 			}
-			next.Subs[j].q.Enqueue(v)
-			next.Subs[j].enqs.V.Add(1)
+			next.Subs[j].enqueue(v)
 			loads[j]++
 		}
 	}
@@ -87,7 +86,7 @@ func (q *Queue[T]) handoffStranded(next *core.Geometry[*subQueue[T]], dropped []
 	// client traffic placed ahead of later-migrated items.
 	var enqEnd, minEnqs int64
 	for i, sq := range next.Subs {
-		e := sq.enqs.V.Load()
+		e := sq.enqs.Load()
 		enqEnd += e
 		if i == 0 || e < minEnqs {
 			minEnqs = e
@@ -106,11 +105,13 @@ func (q *Queue[T]) handoffStranded(next *core.Geometry[*subQueue[T]], dropped []
 	// rounds — a structure-wide enqueue outage. One batched raise to
 	// shift headroom above the least-loaded survivor is exactly the
 	// advance the window would have made had the migrated items arrived
-	// as ordinary enqueues: the counters stay inside the usual
-	// [ceiling − depth, ceiling] band, so the Theorem 1 accounting is
-	// unchanged, and unlike the retired funnel it happens once, not once
-	// per exhausted band. (The monotone raise-if-below CAS loop tolerates
-	// concurrent client raises.)
+	// as ordinary enqueues: every counter stays at or above the window
+	// floor, ceiling − depth, so the Theorem 1 accounting is unchanged,
+	// and unlike the retired funnel it happens once, not once per
+	// exhausted band. A survivor that took more than its share of the
+	// migrated items may sit above the ceiling; it takes no client enqueue
+	// until the window passes it. (The monotone raise-if-below CAS loop
+	// tolerates concurrent client raises.)
 	for target := minEnqs + next.Shift; ; {
 		cur := q.globalEnq.V.Load()
 		if cur >= target || q.globalEnq.V.CompareAndSwap(cur, target) {

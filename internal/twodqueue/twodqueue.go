@@ -24,6 +24,21 @@
 // up to one position of slack per in-flight operation (at most the number
 // of concurrent handles); see K and the tests in twodqueue_test.go.
 //
+// # Sub-queue layout
+//
+// Each sub-queue (subqueue.go) is an inline Michael–Scott list laid out as
+// two cache lines: head with the dequeue counter, tail with the enqueue
+// counter. An operation's window check, CAS and counter bump stay on its
+// own end's line, so an enqueue costs three atomic RMWs and writes two
+// lines (the last node and the tail line), a dequeue two RMWs and one
+// line. There is no length counter: both counters start at the join floor,
+// so enqs − deqs is the population, exact when quiescent. An Enqueue
+// allocates its node once, before the search, and relinks that node on
+// every retry. The node carries no enqueue ordinal: an ordinal would make
+// the window check exact, but it grows the node from 16 to 24 B for uint64
+// items, half again the allocated bytes per operation. DESIGN.md §5 has
+// the accounting.
+//
 // # Live reconfiguration
 //
 // The queue is the window kernel of internal/core (core.Kernel) over
@@ -41,8 +56,9 @@
 package twodqueue
 
 import (
+	"fmt"
+
 	"stack2d/internal/core"
-	"stack2d/internal/msqueue"
 	"stack2d/internal/pad"
 	"stack2d/internal/yield"
 )
@@ -62,37 +78,6 @@ const (
 	enq = 0
 	deq = 1
 )
-
-// subQueue is one sub-structure: the Michael–Scott queue plus its two
-// monotonic window counters, all padded onto private cache lines. Slots are
-// held by pointer so successive geometries can share surviving sub-queues
-// without moving an item.
-type subQueue[T any] struct {
-	q    *msqueue.Queue[T]
-	_    pad.CacheLinePad
-	enqs pad.Int64Line // completed enqueues (plus the join floor, see newSubQueue)
-	deqs pad.Int64Line // completed dequeues (plus the join floor)
-}
-
-// newSubQueue is the queue's Hooks.NewSlot: an empty sub-queue joining the
-// structure at the enqueue window's floor (GlobalEnq − depth, zero at
-// construction). A sub-queue added by a width growth must not start its
-// counters at zero: the windows have typically advanced far past zero, and
-// a zero-count newcomer would be enqueue-valid for the whole distance — an
-// unbounded relaxation hole. Starting at the floor lets it absorb at most
-// `depth` enqueues per window, like every other sub-queue. Both counters
-// start there, so the newcomer is empty by its own count and its j-th item
-// carries the same ordinal at both ends: it becomes dequeue-valid when the
-// dequeue window reaches the items enqueued alongside it. (Starting the
-// dequeue counter at the dequeue window's floor instead would let fresh
-// items leave ahead of the whole backlog of a long queue.)
-func (q *Queue[T]) newSubQueue(depth int64) *subQueue[T] {
-	floor := max(q.globalEnq.V.Load()-depth, 0)
-	sq := &subQueue[T]{q: msqueue.New[T]()}
-	sq.enqs.V.Store(floor)
-	sq.deqs.V.Store(floor)
-	return sq
-}
 
 // Queue is a lock-free 2D relaxed FIFO queue: the window kernel over
 // Michael–Scott sub-queues. Create with New; obtain one Handle per
@@ -134,7 +119,7 @@ func MustNew[T any](cfg Config) *Queue[T] {
 func (q *Queue[T]) Len() int {
 	n := 0
 	for _, sq := range q.Geo().Subs {
-		n += sq.q.Len()
+		n += int(sq.len())
 	}
 	return n + q.BufferedLen()
 }
@@ -151,9 +136,58 @@ func (q *Queue[T]) SubLens() []int {
 	subs := q.Geo().Subs
 	out := make([]int, len(subs))
 	for i, sq := range subs {
-		out[i] = sq.q.Len()
+		out[i] = int(sq.len())
 	}
 	return out
+}
+
+// CheckInvariants verifies the structure while no operation is in flight;
+// tests and fuzzing. For each sub-queue:
+//   - the list from the dummy holds exactly enqs − deqs items and ends at
+//     the tail (tail.next == nil);
+//   - the enqueue counter sits at or above the enqueue window's floor,
+//     GlobalEnq − depth, so no sub-queue can absorb more than depth
+//     enqueues before the window next moves;
+//   - the dequeue counter sits at or below the dequeue ceiling, unless it
+//     is still the join floor of a width growth (newSubQueue), which lies
+//     at or below GlobalEnq − depth and moves only once the dequeue window
+//     has passed it.
+//
+// A shrink handoff may leave a survivor's enqueue counter above GlobalEnq,
+// so that side has no upper band. The bands are those of a fixed depth:
+// after a SetWindow lowers depth, or a window move by an operation still
+// pinned to the previous geometry, a counter may sit below the new floor
+// until its window next moves.
+func (q *Queue[T]) CheckInvariants() error {
+	geo := q.Geo()
+	if len(geo.Subs) != geo.Width {
+		return fmt.Errorf("twodqueue: geometry width %d but %d sub-queues", geo.Width, len(geo.Subs))
+	}
+	gEnq, gDeq := q.globalEnq.V.Load(), q.globalDeq.V.Load()
+	for i, sq := range geo.Subs {
+		enqs, deqs := sq.enqs.Load(), sq.deqs.Load()
+		if enqs < deqs {
+			return fmt.Errorf("twodqueue: sub-queue %d has enqs %d below deqs %d", i, enqs, deqs)
+		}
+		last, n := sq.head.Load(), int64(0)
+		for next := last.next.Load(); next != nil && n <= enqs-deqs; next = next.next.Load() {
+			last = next
+			n++
+		}
+		if n != enqs-deqs {
+			return fmt.Errorf("twodqueue: sub-queue %d counts enqs−deqs = %d but its list holds >= %d", i, enqs-deqs, n)
+		}
+		if tail := sq.tail.Load(); tail != last {
+			return fmt.Errorf("twodqueue: sub-queue %d tail is not the last of its %d list items", i, n)
+		}
+		if floor := gEnq - geo.Depth; enqs < floor {
+			return fmt.Errorf("twodqueue: sub-queue %d enqs %d below the enqueue window floor %d", i, enqs, floor)
+		}
+		if deqs > max(gDeq, gEnq-geo.Depth) {
+			return fmt.Errorf("twodqueue: sub-queue %d deqs %d above the dequeue ceiling %d and the join floor %d", i, deqs, gDeq, gEnq-geo.Depth)
+		}
+	}
+	return nil
 }
 
 // Drain removes all items; teardown/testing helper. Handles with armed op
@@ -206,6 +240,9 @@ func (h *Handle[T]) Enqueue(v T) {
 	// so the coverage discipline is identical (DESIGN.md §7).
 	ord, pos, localN := h.Probe(geo)
 	sockIdx := h.SockIdx(geo)
+	// One node for the whole search: a lost attempt leaves it unlinked, so
+	// every retry links the same node.
+	n := &node[T]{value: v}
 	for {
 		global := q.globalEnq.V.Load()
 		idx := h.Last[enq]
@@ -224,9 +261,9 @@ func (h *Handle[T]) Enqueue(v T) {
 			}
 			sub := geo.Subs[idx]
 			h.Ctr.Probes++
-			if sub.enqs.V.Load() < global {
-				if sub.q.TryEnqueue(v) {
-					sub.enqs.V.Add(1)
+			if sub.enqs.Load() < global {
+				if sub.tryEnqueue(n) {
+					sub.enqs.Add(1)
 					h.Last[enq] = idx
 					h.Ctr.Pushes++
 					h.End()
@@ -306,9 +343,9 @@ func (h *Handle[T]) Dequeue() (v T, ok bool) {
 			}
 			sub := geo.Subs[idx]
 			h.Ctr.Probes++
-			if sub.deqs.V.Load() < global {
-				if val, got, contended := sub.q.TryDequeue(); got {
-					sub.deqs.V.Add(1)
+			if sub.deqs.Load() < global {
+				if val, got, contended := sub.tryDequeue(); got {
+					sub.deqs.Add(1)
 					h.Last[deq] = idx
 					h.Ctr.Pops++
 					h.End()
@@ -327,7 +364,7 @@ func (h *Handle[T]) Dequeue() (v T, ok bool) {
 					continue
 				}
 				// Valid but empty: treat as a coverage probe.
-			} else if !sub.q.Empty() {
+			} else if !sub.empty() {
 				sawInvalidNonEmpty = true
 			}
 			if randLeft > 0 {
